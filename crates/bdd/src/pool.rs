@@ -15,7 +15,6 @@
 //! pool clones the handle, not the managers — all clones share one stack.
 
 use crate::manager::BddManager;
-use crate::shared::{SharedConfig, SharedManager};
 use std::sync::{Arc, Mutex};
 
 /// Counters describing how effective a pool has been.
@@ -36,9 +35,6 @@ pub struct PoolStats {
 #[derive(Debug)]
 struct PoolInner {
     idle: Vec<BddManager>,
-    /// Idle shared-memory managers; their persistent worker threads stay
-    /// parked between checks, so recycling also skips thread spawning.
-    shared_idle: Vec<SharedManager>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -59,7 +55,6 @@ impl ManagerPool {
         ManagerPool {
             inner: Arc::new(Mutex::new(PoolInner {
                 idle: Vec::new(),
-                shared_idle: Vec::new(),
                 capacity,
                 hits: 0,
                 misses: 0,
@@ -100,42 +95,6 @@ impl ManagerPool {
         }
     }
 
-    /// Takes a shared-memory manager whose sizing matches `config` exactly,
-    /// or constructs a fresh one. Only exact-config matches are reused:
-    /// table and cache capacities are fixed at construction, and a check
-    /// that asked for different sizing must get it.
-    pub fn acquire_shared(&self, config: SharedConfig) -> SharedManager {
-        let mut inner = self.inner.lock().expect("pool lock poisoned");
-        match inner.shared_idle.iter().position(|m| m.config() == config) {
-            Some(i) => {
-                inner.hits += 1;
-                inner.shared_idle.swap_remove(i)
-            }
-            None => {
-                inner.misses += 1;
-                drop(inner);
-                SharedManager::new(config)
-            }
-        }
-    }
-
-    /// Resets `manager` — clearing the unique table, the concurrent
-    /// computed-cache residue and any armed budget — and returns it to the
-    /// pool. Debug builds verify the reset manager's structural invariants
-    /// before it can be handed to the next check.
-    pub fn recycle_shared(&self, mut manager: SharedManager) {
-        manager.reset();
-        #[cfg(debug_assertions)]
-        manager.check_invariants();
-        let mut inner = self.inner.lock().expect("pool lock poisoned");
-        if inner.shared_idle.len() < inner.capacity {
-            inner.shared_idle.push(manager);
-            inner.recycled += 1;
-        } else {
-            inner.dropped += 1;
-        }
-    }
-
     /// Effectiveness counters (hits, misses, recycled, dropped, idle).
     pub fn stats(&self) -> PoolStats {
         let inner = self.inner.lock().expect("pool lock poisoned");
@@ -144,7 +103,7 @@ impl ManagerPool {
             misses: inner.misses,
             recycled: inner.recycled,
             dropped: inner.dropped,
-            idle: inner.idle.len() + inner.shared_idle.len(),
+            idle: inner.idle.len(),
         }
     }
 }
@@ -204,36 +163,6 @@ mod tests {
         let zero = ManagerPool::new(0);
         zero.recycle(BddManager::new());
         assert_eq!(zero.stats().idle, 0, "zero-capacity pool never retains");
-    }
-
-    #[test]
-    fn shared_arm_reuses_exact_config_matches_only() {
-        let pool = ManagerPool::new(2);
-        let cfg = SharedConfig::for_check(1, Some(1 << 12), 14);
-
-        let mut m = pool.acquire_shared(cfg);
-        let vars = m.new_vars(2);
-        let a = m.var(vars[0]);
-        let b = m.var(vars[1]);
-        let f = m.xor(a, b);
-        assert_eq!(m.node_count(f), 3);
-        pool.recycle_shared(m);
-
-        // Same sizing: served warm, and indistinguishable from fresh.
-        let m2 = pool.acquire_shared(cfg);
-        assert_eq!(m2.var_count(), 0, "recycled shared manager must start empty");
-        assert_eq!(m2.config(), cfg);
-
-        // Different sizing: must not reuse the idle manager.
-        pool.recycle_shared(m2);
-        let other = SharedConfig::for_check(2, Some(1 << 12), 14);
-        let m3 = pool.acquire_shared(other);
-        assert_eq!(m3.config(), other);
-
-        let s = pool.stats();
-        assert_eq!(s.hits, 1, "only the exact-config acquire may hit");
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.idle, 1);
     }
 
     #[test]

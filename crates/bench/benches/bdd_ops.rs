@@ -2,7 +2,7 @@
 //! composition and sifting — the primitive costs behind every check column
 //! in the paper's tables.
 
-use bbec_bdd::BddManager;
+use bbec_bdd::{BddManager, Cube};
 use bbec_core::{CheckSettings, SymbolicContext};
 use bbec_netlist::generators;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -43,7 +43,7 @@ fn bench_quantification(c: &mut Criterion) {
             let outs = ctx.build_outputs(&circuit).expect("complete circuit");
             let cout = *outs.last().expect("has outputs");
             let vars: Vec<_> = ctx.input_vars().iter().copied().step_by(2).collect();
-            let cube = ctx.manager.try_cube(&vars).expect("within budget");
+            let cube = Cube::try_from_vars(&mut ctx.manager, &vars).expect("within budget");
             let e = ctx.manager.exists(cout, cube);
             let a = ctx.manager.forall(cout, cube);
             black_box((e, a))

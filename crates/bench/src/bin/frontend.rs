@@ -12,7 +12,8 @@
 //!
 //! Results are written as a schema-valid JSONL trace stream (validate
 //! with the `trace-schema` binary of `bbec-trace`) and gated in CI by
-//! `perfgate` against the committed `BENCH_frontend.json` baseline.
+//! `bbec report --compare` against the committed `BENCH_frontend.json`
+//! baseline.
 //!
 //! ```text
 //! cargo run --release -p bbec-bench --bin frontend -- [--quick] [--out FILE]

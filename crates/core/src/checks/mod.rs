@@ -36,11 +36,11 @@ pub use zi::{input_exact, local_check, output_exact};
 pub(crate) use zi::{input_exact_with, local_check_with, output_exact_with};
 
 use crate::partial::PartialCircuit;
-use crate::report::{BudgetAbort, CheckError, ResourceStats};
+use crate::report::{BudgetAbort, CheckError, CheckOutcome, CheckSettings, ResourceStats};
 use crate::symbolic::SymbolicContext;
 use bbec_bdd::{Bdd, OpTelemetry};
 use bbec_netlist::Circuit;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Validates that spec and partial implementation share an interface.
 pub(crate) fn validate_interface(
@@ -160,6 +160,50 @@ impl CheckProbe {
                 CheckError::BudgetExceeded(abort.with_stats(stats))
             }
             other => other,
+        }
+    }
+}
+
+/// A fresh context holding the spec's BDDs: the preamble of every one-shot
+/// BDD check and of a [`crate::CheckSession`]. The spec build runs under
+/// its own probe, before a check's probe opens a fresh budget window, so
+/// its wall clock is carried here and charged to a one-shot check's stats
+/// by [`OwnedSetup::charge`].
+pub(crate) struct OwnedSetup {
+    pub(crate) ctx: SymbolicContext,
+    pub(crate) spec_bdds: Vec<Bdd>,
+    spec_build: Duration,
+}
+
+impl OwnedSetup {
+    pub(crate) fn new(spec: &Circuit, settings: &CheckSettings) -> Result<Self, CheckError> {
+        let mut ctx = SymbolicContext::new(spec, settings);
+        let probe = CheckProbe::begin(&mut ctx);
+        let spec_bdds = match ctx.build_outputs(spec) {
+            Ok(b) => b,
+            Err(e) => return Err(probe.annotate(&ctx, e)),
+        };
+        Ok(OwnedSetup { ctx, spec_bdds, spec_build: probe.start.elapsed() })
+    }
+
+    /// Adds the spec build to the duration a one-shot check reports, on the
+    /// success and the budget-abort path alike.
+    pub(crate) fn charge(
+        &self,
+        result: Result<CheckOutcome, CheckError>,
+    ) -> Result<CheckOutcome, CheckError> {
+        match result {
+            Ok(mut outcome) => {
+                outcome.stats.duration += self.spec_build;
+                Ok(outcome)
+            }
+            Err(CheckError::BudgetExceeded(mut abort)) => {
+                if let Some(stats) = &mut abort.stats {
+                    stats.duration += self.spec_build;
+                }
+                Err(CheckError::BudgetExceeded(abort))
+            }
+            Err(e) => Err(e),
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Z_i simulation based checks: local (Lemma 2.1), output-exact
 //! (Lemma 2.2) and input-exact (equation (1)) — Section 2.2 of the paper.
 
-use crate::checks::{validate_interface, CheckProbe, Guard};
+use crate::checks::{validate_interface, CheckProbe, Guard, OwnedSetup};
 use crate::partial::PartialCircuit;
 use crate::report::{CheckError, CheckOutcome, CheckSettings, Counterexample, Method, Verdict};
 use crate::symbolic::{PartialSymbolic, SymbolicContext};
-use bbec_bdd::{Bdd, BudgetExceeded};
+use bbec_bdd::{Bdd, BudgetExceeded, Cube};
 use bbec_netlist::Circuit;
 
 /// Shared preamble of the Z_i checks: both function vectors plus the
@@ -19,22 +19,6 @@ pub(crate) struct ZiSetup<'a> {
     impl_nodes: usize,
     probe: CheckProbe,
     guard: Guard,
-}
-
-/// One-shot variant: fresh context and spec BDDs per call.
-struct OwnedSetup {
-    ctx: SymbolicContext,
-    spec_bdds: Vec<Bdd>,
-}
-
-fn owned_setup(spec: &Circuit, settings: &CheckSettings) -> Result<OwnedSetup, CheckError> {
-    let mut ctx = SymbolicContext::new(spec, settings);
-    let probe = CheckProbe::begin(&mut ctx);
-    let spec_bdds = match ctx.build_outputs(spec) {
-        Ok(b) => b,
-        Err(e) => return Err(probe.annotate(&ctx, e)),
-    };
-    Ok(OwnedSetup { ctx, spec_bdds })
 }
 
 pub(crate) fn setup_in<'a>(
@@ -92,8 +76,9 @@ pub fn local_check(
     partial: &PartialCircuit,
     settings: &CheckSettings,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut owned = owned_setup(spec, settings)?;
-    local_check_with(&mut owned.ctx, &owned.spec_bdds, spec, partial)
+    let mut owned = OwnedSetup::new(spec, settings)?;
+    let result = local_check_with(&mut owned.ctx, &owned.spec_bdds, spec, partial);
+    owned.charge(result)
 }
 
 pub(crate) fn local_check_with(
@@ -123,7 +108,7 @@ pub(crate) fn local_check_with(
 }
 
 fn local_body(s: &mut ZiSetup) -> Result<(Verdict, Option<Counterexample>), BudgetExceeded> {
-    let zcube = s.ctx.manager.try_cube(&s.sym.all_z_vars)?;
+    let zcube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.all_z_vars)?;
     s.guard.keep(s.ctx, zcube.as_bdd());
     let tracer = s.ctx.tracer().clone();
     for j in 0..s.spec_bdds.len() {
@@ -182,8 +167,9 @@ pub fn output_exact(
     partial: &PartialCircuit,
     settings: &CheckSettings,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut owned = owned_setup(spec, settings)?;
-    output_exact_with(&mut owned.ctx, &owned.spec_bdds, spec, partial)
+    let mut owned = OwnedSetup::new(spec, settings)?;
+    let result = output_exact_with(&mut owned.ctx, &owned.spec_bdds, spec, partial);
+    owned.charge(result)
 }
 
 pub(crate) fn output_exact_with(
@@ -211,7 +197,7 @@ pub(crate) fn output_exact_with(
 }
 
 fn output_exact_body(s: &mut ZiSetup) -> Result<(Verdict, Option<Counterexample>), BudgetExceeded> {
-    let zcube = s.ctx.manager.try_cube(&s.sym.all_z_vars)?;
+    let zcube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.all_z_vars)?;
     s.guard.keep(s.ctx, zcube.as_bdd());
     let cond = try_joint_condition(s)?;
     // No error iff ∀X ∃Z cond — i.e. ∃Z cond is a tautology over X.
@@ -247,8 +233,9 @@ pub fn input_exact(
     partial: &PartialCircuit,
     settings: &CheckSettings,
 ) -> Result<CheckOutcome, CheckError> {
-    let mut owned = owned_setup(spec, settings)?;
-    input_exact_with(&mut owned.ctx, &owned.spec_bdds, spec, partial)
+    let mut owned = OwnedSetup::new(spec, settings)?;
+    let result = input_exact_with(&mut owned.ctx, &owned.spec_bdds, spec, partial);
+    owned.charge(result)
 }
 
 pub(crate) fn input_exact_with(
@@ -317,14 +304,14 @@ fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict
         input_vars.iter().copied().filter(|v| last_use[v] == usize::MAX).collect();
     let mut acc = {
         let ncond = s.ctx.manager.try_not(cond)?;
-        let cube = s.ctx.manager.try_cube(&immediate)?;
+        let cube = Cube::try_from_vars(&mut s.ctx.manager, &immediate)?;
         let r = s.ctx.manager.try_exists(ncond, cube)?;
         s.guard.keep(s.ctx, r)
     };
     s.ctx.manager.maybe_reorder();
     for (fi, &eq) in factors.iter().enumerate() {
         let ready: Vec<_> = input_vars.iter().copied().filter(|v| last_use[v] == fi).collect();
-        let cube = s.ctx.manager.try_cube(&ready)?;
+        let cube = Cube::try_from_vars(&mut s.ctx.manager, &ready)?;
         let next = s.ctx.manager.try_and_exists(acc, eq, cube)?;
         s.guard.keep(s.ctx, next);
         s.guard.drop_one(s.ctx, acc);
@@ -341,11 +328,11 @@ fn input_exact_body(s: &mut ZiSetup, partial: &PartialCircuit) -> Result<Verdict
     s.ctx.manager.maybe_reorder();
     // ∀I_1 ∃O_1 … ∀I_b ∃O_b, applied inside-out.
     for bi in (0..partial.boxes().len()).rev() {
-        let o_cube = s.ctx.manager.try_cube(&s.sym.z_vars_by_box[bi])?;
+        let o_cube = Cube::try_from_vars(&mut s.ctx.manager, &s.sym.z_vars_by_box[bi])?;
         let after_o = s.ctx.manager.try_exists(result, o_cube)?;
         s.guard.keep(s.ctx, after_o);
         s.guard.drop_one(s.ctx, result);
-        let i_cube = s.ctx.manager.try_cube(&i_vars_by_box[bi])?;
+        let i_cube = Cube::try_from_vars(&mut s.ctx.manager, &i_vars_by_box[bi])?;
         let after_i = s.ctx.manager.try_forall(after_o, i_cube)?;
         s.guard.keep(s.ctx, after_i);
         s.guard.drop_one(s.ctx, after_o);
@@ -499,6 +486,34 @@ mod tests {
             }
         }
         assert!(!satisfiable, "witness must defeat every box behaviour");
+    }
+
+    #[test]
+    fn one_shot_duration_includes_the_spec_build() {
+        // Boxing the last gate leaves an implementation whose build mostly
+        // hits the computed table the spec build warmed, so the spec build
+        // dominates the check's wall clock.
+        let c = generators::array_multiplier(6);
+        let last = (c.gates().len() - 1) as u32;
+        let p = PartialCircuit::black_box_gates(&c, &[last]).unwrap();
+        let tracer = bbec_trace::Tracer::new();
+        let out =
+            output_exact(&c, &p, &CheckSettings { tracer: tracer.clone(), ..settings() }).unwrap();
+        // The spec is simulated first, so its `core.sim` span closes first.
+        let spec_sim_us = tracer
+            .finish()
+            .events()
+            .iter()
+            .find_map(|e| match e {
+                bbec_trace::TraceEvent::Span { name: "core.sim", dur_us, .. } => Some(*dur_us),
+                _ => None,
+            })
+            .expect("spec build is traced");
+        assert!(
+            out.stats.duration.as_micros() as u64 >= spec_sim_us,
+            "stats.duration {:?} must cover the {spec_sim_us} us spec build",
+            out.stats.duration
+        );
     }
 
     #[test]

@@ -152,12 +152,7 @@ impl ParallelChecker {
     ) -> Result<bool, CheckError> {
         let phase_span = self.settings.tracer.span("core.parallel_phase");
         phase_span.set_attr("shards", shards.len());
-        // The two parallelism axes multiply: with the shared-memory BDD
-        // engine active (`bdd_threads >= 2`), each shard's manager already
-        // saturates that many cores, so the sharded phase runs its shards
-        // sequentially instead of oversubscribing the host.
-        let jobs =
-            if self.settings.bdd_threads >= 2 { 1 } else { self.jobs.clamp(1, shards.len()) };
+        let jobs = self.jobs.clamp(1, shards.len());
         phase_span.set_attr("jobs", jobs);
 
         // One child tracer and one ladder per shard, fixed before any

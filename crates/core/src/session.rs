@@ -16,7 +16,7 @@
 //! them, while the specification BDDs stay protected in the same manager.
 
 use crate::checks::{
-    self, input_exact_with, local_check_with, output_exact_with, symbolic_01x_with, CheckProbe,
+    self, input_exact_with, local_check_with, output_exact_with, symbolic_01x_with, OwnedSetup,
 };
 use crate::partial::PartialCircuit;
 use crate::report::{CheckError, CheckOutcome, CheckSettings, Method};
@@ -56,12 +56,8 @@ impl CheckSession {
         spec: &Circuit,
         settings: &CheckSettings,
     ) -> Result<(SymbolicContext, Vec<Bdd>), CheckError> {
-        let mut ctx = SymbolicContext::new(spec, settings);
-        let probe = CheckProbe::begin(&mut ctx);
-        match ctx.build_outputs(spec) {
-            Ok(spec_bdds) => Ok((ctx, spec_bdds)),
-            Err(e) => Err(probe.annotate(&ctx, e)),
-        }
+        let OwnedSetup { ctx, spec_bdds, .. } = OwnedSetup::new(spec, settings)?;
+        Ok((ctx, spec_bdds))
     }
 
     /// The checked specification.

@@ -1,8 +1,9 @@
 //! The differential harness: every engine against every contract.
 //!
 //! For one spec/partial instance the harness runs all five ladder rungs,
-//! both SAT twins, the parallel engine at two job counts and the
-//! sweep-preprocessed ladder, then asserts:
+//! both SAT twins, the parallel engine at two job counts, the
+//! sweep-preprocessed ladder, the served ladder and the sifting ladder,
+//! then asserts:
 //!
 //! 1. **Soundness** (the paper's central claim): no engine reports an error
 //!    on an instance the oracle proves extendable.
@@ -26,6 +27,10 @@
 //!    from its result cache is semantically identical to the cold response
 //!    (verdict, deciding method, rungs, counterexample) with zero fresh
 //!    BDD work.
+//! 9. **Reorder invariance**: the ladder with dynamic sifting forced on
+//!    (a live-node threshold low enough to fire on oracle-sized
+//!    instances) produces the same verdict as the ladder without it;
+//!    its witnesses replay under contract 5 like every other engine's.
 //!
 //! A `inject` option flips one rung's verdict after the fact — the
 //! test-only "intentionally unsound rung" of the acceptance criteria,
@@ -59,11 +64,15 @@ pub enum Engine {
     /// its cache/incremental path), paired against
     /// [`Engine::ParallelJobs1`] by the service-transparency contract.
     Served,
+    /// The ladder with dynamic sifting firing on small instances
+    /// ([`sift_settings`]), paired against [`Engine::ParallelJobs1`] by the
+    /// reorder-invariance contract.
+    Sifted,
 }
 
 impl Engine {
     /// All engines, ladder first, in strength order within the ladder.
-    pub fn all() -> [Engine; 11] {
+    pub fn all() -> [Engine; 12] {
         [
             Engine::RandomPatterns,
             Engine::Symbolic01X,
@@ -76,6 +85,7 @@ impl Engine {
             Engine::ParallelJobs4,
             Engine::SweptLadder,
             Engine::Served,
+            Engine::Sifted,
         ]
     }
 
@@ -93,6 +103,7 @@ impl Engine {
             Engine::ParallelJobs4 => "par-j4",
             Engine::SweptLadder => "sweep",
             Engine::Served => "serve",
+            Engine::Sifted => "sift",
         }
     }
 
@@ -164,6 +175,9 @@ pub enum Violation {
     /// mirrors, or its cached response diverged from the cold response —
     /// the result cache is not transparent.
     ServiceMismatch { detail: String },
+    /// The ladder with dynamic sifting disagreed with the ladder without
+    /// it — reordering changed a verdict.
+    SiftMismatch { detail: String },
     /// A reported counterexample failed concrete replay.
     BadCounterexample { engine: &'static str, detail: String },
     /// An engine failed with an unexpected (non-budget) error.
@@ -188,6 +202,7 @@ impl fmt::Display for Violation {
             Violation::ParallelMismatch { detail } => write!(f, "PARALLEL MISMATCH: {detail}"),
             Violation::SweepMismatch { detail } => write!(f, "SWEEP MISMATCH: {detail}"),
             Violation::ServiceMismatch { detail } => write!(f, "SERVICE MISMATCH: {detail}"),
+            Violation::SiftMismatch { detail } => write!(f, "SIFT MISMATCH: {detail}"),
             Violation::BadCounterexample { engine, detail } => {
                 write!(f, "BAD WITNESS: {engine}: {detail}")
             }
@@ -209,6 +224,7 @@ impl Violation {
             Violation::ParallelMismatch { .. } => "parallel-mismatch",
             Violation::SweepMismatch { .. } => "sweep-mismatch",
             Violation::ServiceMismatch { .. } => "service-mismatch",
+            Violation::SiftMismatch { .. } => "sift-mismatch",
             Violation::BadCounterexample { .. } => "bad-counterexample",
             Violation::EngineFailure { .. } => "engine-failure",
         }
@@ -268,6 +284,21 @@ impl Default for HarnessConfig {
 }
 
 const SAT_REFINEMENTS: usize = 100_000;
+
+/// Live-node threshold of the [`Engine::Sifted`] run. Oracle-sized
+/// instances stay far below the production default, so without a low
+/// threshold sifting would never fire there.
+const SIFT_THRESHOLD: usize = 32;
+
+/// The settings of the [`Engine::Sifted`] run: `settings` with dynamic
+/// reordering on at [`SIFT_THRESHOLD`].
+fn sift_settings(settings: &CheckSettings) -> CheckSettings {
+    CheckSettings {
+        dynamic_reordering: true,
+        reorder_threshold: SIFT_THRESHOLD,
+        ..settings.clone()
+    }
+}
 
 /// Runs every engine and every contract on one instance.
 pub fn run_case(instance: &Instance, config: &HarnessConfig) -> CaseOutcome {
@@ -388,6 +419,10 @@ pub fn run_case(instance: &Instance, config: &HarnessConfig) -> CaseOutcome {
             ),
         ),
         one(Engine::Served, served_result),
+        one(
+            Engine::Sifted,
+            from_report(ParallelChecker::new(sift_settings(s), 1).run(spec, partial)),
+        ),
     ];
     if let Some(detail) = service_mismatch {
         violations.push(Violation::ServiceMismatch { detail });
@@ -399,7 +434,7 @@ pub fn run_case(instance: &Instance, config: &HarnessConfig) -> CaseOutcome {
     outcome
 }
 
-/// Applies contracts 1–8 to the collected verdicts.
+/// Applies contracts 1–9 to the collected verdicts.
 fn check_contracts(instance: &Instance, outcome: &mut CaseOutcome) {
     let spec = &instance.spec;
     let partial = &instance.partial;
@@ -510,6 +545,19 @@ fn check_contracts(instance: &Instance, outcome: &mut CaseOutcome) {
         });
     }
 
+    // 9. Reorder invariance: sifting moves nodes, never functions, so the
+    // sifting ladder's verdict matches the ladder without it.
+    let sifted = outcome.verdict(Engine::Sifted);
+    if p1.decided() && sifted.decided() && p1.is_error() != sifted.is_error() {
+        violations.push(Violation::SiftMismatch {
+            detail: format!(
+                "sifting ladder ({}) contradicts the ladder without reordering ({})",
+                if sifted.is_error() { "error" } else { "clean" },
+                if p1.is_error() { "error" } else { "clean" },
+            ),
+        });
+    }
+
     violations.sort_by_key(|v| match v {
         Violation::Unsound { .. } => 0,
         Violation::IncompleteExact => 1,
@@ -519,7 +567,8 @@ fn check_contracts(instance: &Instance, outcome: &mut CaseOutcome) {
         Violation::ParallelMismatch { .. } => 5,
         Violation::SweepMismatch { .. } => 6,
         Violation::ServiceMismatch { .. } => 7,
-        Violation::EngineFailure { .. } => 8,
+        Violation::SiftMismatch { .. } => 8,
+        Violation::EngineFailure { .. } => 9,
     });
     outcome.violations = violations;
 }
@@ -604,6 +653,32 @@ mod tests {
             out.violations
                 .iter()
                 .any(|v| matches!(v, Violation::Unsound { engine } if *engine == "serve")),
+            "got {:?}",
+            out.violations
+        );
+    }
+
+    #[test]
+    fn sift_engine_actually_reorders() {
+        // The reorder-invariance contract is vacuous unless sifting fires
+        // on the instances the harness sees.
+        let settings = sift_settings(&HarnessConfig::default().settings);
+        let passes: u64 = (0..25u64)
+            .filter_map(|index| generate(case_seed(11, index)))
+            .filter_map(|i| ParallelChecker::new(settings.clone(), 1).run(&i.spec, &i.partial).ok())
+            .flat_map(|report| report.stages)
+            .filter_map(|stage| stage.outcome().map(|o| o.stats.reorder_passes))
+            .sum();
+        assert!(passes > 0, "sifting never ran on the generated cases");
+    }
+
+    #[test]
+    fn injected_unsound_sift_engine_is_caught() {
+        let instance = sample_instance("completable", samples::completable_pair());
+        let config = HarnessConfig { inject: Some(Engine::Sifted), ..HarnessConfig::default() };
+        let out = run_case(&instance, &config);
+        assert!(
+            out.violations.iter().any(|v| matches!(v, Violation::SiftMismatch { .. })),
             "got {:?}",
             out.violations
         );

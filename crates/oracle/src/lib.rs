@@ -12,7 +12,7 @@
 //!   ground truth no engine under test can argue with.
 //! - [`generate`]: deterministic spec/partial instance generation (circuit
 //!   families × planted mutations × box carves), one instance per `u64`.
-//! - [`harness`]: runs all eleven engines on one instance and asserts the
+//! - [`harness`]: runs all twelve engines on one instance and asserts the
 //!   soundness, monotonicity, twin-agreement, parallel-invariance and
 //!   witness-replay contracts.
 //! - [`shrink`]: greedy delta-debugging of a violating instance down to a

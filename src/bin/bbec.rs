@@ -41,14 +41,6 @@
 //!   --jobs N                   worker threads for the ladder's per-output
 //!                              rungs (default: available parallelism); the
 //!                              job count never changes the verdict
-//!   --bdd-threads N            worker threads *inside* each BDD manager
-//!                              (default 1 = classic engine): N >= 2 switches
-//!                              to the shared-memory engine — one concurrent
-//!                              unique table and computed cache, work-stealing
-//!                              apply/ITE. Verdicts are bit-identical across
-//!                              thread counts; with N >= 2 the sharded phase
-//!                              runs its shards sequentially so the two
-//!                              parallelism axes do not multiply
 //!   --cache-bits N             computed-table capacity exponent: the
 //!                              apply/ITE cache holds 2^N entries
 //!                              (default 22, clamped to 10..=30)
@@ -281,7 +273,6 @@ struct Options {
     node_limit: Option<usize>,
     step_limit: Option<u64>,
     jobs: usize,
-    bdd_threads: usize,
     cache_bits: Option<u32>,
     trace_summary: bool,
     trace_out: Option<String>,
@@ -321,7 +312,6 @@ fn parse_options(args: &[String]) -> Options {
         node_limit: None,
         step_limit: None,
         jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        bdd_threads: 1,
         cache_bits: None,
         trace_summary: false,
         trace_out: None,
@@ -389,10 +379,6 @@ fn parse_options(args: &[String]) -> Options {
             "--jobs" => {
                 i += 1;
                 o.jobs = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--bdd-threads" => {
-                i += 1;
-                o.bdd_threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
             }
             "--cache-bits" => {
                 i += 1;
@@ -499,7 +485,6 @@ fn main() {
     let mut settings = CheckSettings {
         dynamic_reordering: o.reorder,
         random_patterns: o.patterns,
-        bdd_threads: o.bdd_threads.max(1),
         ..CheckSettings::default()
     };
     if let Some(n) = o.node_limit {
@@ -772,7 +757,6 @@ fn main() {
                         bbec::bdd::clamp_cache_bits(settings.cache_bits).into(),
                     ),
                     ("jobs".to_string(), o.jobs.into()),
-                    ("bdd_threads".to_string(), settings.bdd_threads.into()),
                     ("patterns".to_string(), settings.random_patterns.into()),
                     ("reorder".to_string(), settings.dynamic_reordering.into()),
                     ("sweep".to_string(), o.sweep.into()),
