@@ -102,7 +102,10 @@ impl SubTable {
 /// Settings steering automatic sifting inside [`BddManager::maybe_reorder`].
 #[derive(Debug, Clone)]
 pub struct ReorderSettings {
-    /// Reordering is considered once the live node count exceeds this value.
+    /// Reordering is considered once the stored node count
+    /// ([`BddStats::live_nodes`]) exceeds this value. That count includes
+    /// unreferenced nodes still awaiting collection, so a pass may start,
+    /// after its own garbage collection, from far fewer nodes.
     pub threshold: usize,
     /// After a reordering pass the threshold is set to `live * growth`.
     pub growth: f64,
@@ -122,8 +125,9 @@ impl Default for ReorderSettings {
 /// Usage statistics of a manager, in the units the paper reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BddStats {
-    /// Currently live (externally or internally referenced) nodes, excluding
-    /// the two constants.
+    /// Nodes currently stored, excluding the terminal both constants point
+    /// at: every externally or internally referenced node, plus the
+    /// unreferenced (dead) nodes awaiting the next garbage collection.
     pub live_nodes: usize,
     /// High-water mark of `live_nodes` since creation or the last
     /// [`BddManager::reset_peak`].

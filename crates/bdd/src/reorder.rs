@@ -5,10 +5,48 @@
 //! upper level are rewritten so every live node keeps denoting the same
 //! Boolean function afterwards. Protected handles therefore survive
 //! reordering unchanged.
+//!
+//! A sifting pass adds two devices of CUDD's sifting, neither of which
+//! changes the order a pass ends in. The **interaction matrix** (built once
+//! per pass, after its garbage collection) records which variables occur
+//! together in the support of some root function; a swap of two adjacent
+//! variables that do not interact is a relabel of their levels. The
+//! **lower bound** of Drechsler, Günther and Somenzi (IEEE TCAD 2001) ends
+//! a sift direction once no position left in it can beat the best size
+//! seen.
 
+use crate::hasher::{pair_hash, FxBuildHasher};
 #[cfg(test)]
 use crate::manager::Bdd;
 use crate::manager::{BddManager, BddVar, Node, NIL};
+use std::collections::HashMap;
+
+/// Which variable pairs occur together in the support of some root
+/// function: a symmetric bit matrix with one row per variable.
+struct Interactions {
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl Interactions {
+    /// Whether variables `a` and `b` (creation indices) interact.
+    fn test(&self, a: u32, b: u32) -> bool {
+        let b = b as usize;
+        self.rows[a as usize * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+}
+
+/// One sifting pass: its interaction matrix and the counts its
+/// `bdd.reorder` span reports.
+struct SiftPass {
+    interactions: Interactions,
+    /// Adjacent swaps, relabels included.
+    swaps: u64,
+    /// Swaps done as relabels of non-interacting levels.
+    relabel_swaps: u64,
+    /// Sift directions ended by the lower bound.
+    pruned: u64,
+}
 
 impl BddManager {
     /// Swaps the variables at `level` and `level + 1` in place.
@@ -99,13 +137,15 @@ impl BddManager {
             }
         }
 
-        // Finally exchange the variable labels of the two levels.
-        let u_var = self.level_to_var[lev_u as usize];
-        let v_var = self.level_to_var[lev_v as usize];
-        self.level_to_var[lev_u as usize] = v_var;
-        self.level_to_var[lev_v as usize] = u_var;
-        self.var_to_level[u_var as usize] = lev_v;
-        self.var_to_level[v_var as usize] = lev_u;
+        self.exchange_labels(lev_u);
+    }
+
+    /// Exchanges the variable labels of `level` and `level + 1`.
+    fn exchange_labels(&mut self, level: u32) {
+        let (upper, lower) = (level as usize, level as usize + 1);
+        self.level_to_var.swap(upper, lower);
+        self.var_to_level[self.level_to_var[upper] as usize] = level;
+        self.var_to_level[self.level_to_var[lower] as usize] = level + 1;
     }
 
     /// Unlinks every node of `level`'s unique table and returns their ids.
@@ -152,51 +192,219 @@ impl BddManager {
         }
     }
 
-    /// Moves `var` through the order to its locally best position.
-    ///
-    /// Returns the live node count after the sift.
-    fn sift_var(&mut self, var: BddVar, max_growth: f64) -> usize {
-        let levels = self.tables.len() as u32;
-        if levels < 2 {
-            return self.live_count();
-        }
-        let start = self.level_of(var);
-        let start_size = self.live_count();
-        let limit = (start_size as f64 * max_growth) as usize + 2;
-        let mut best_size = start_size;
-        let mut best_level = start;
+    /// Swaps the variables at `level` and `level + 1` when they do not
+    /// interact. No node at `level` then has a child at `level + 1`, so
+    /// the full swap would only move every node of both levels to the
+    /// other level: here the two unique tables trade places whole (their
+    /// buckets hash children only) and the nodes' `level` fields follow.
+    /// Nothing is created, freed or re-hashed, and the computed table stays
+    /// valid since every node keeps its function.
+    fn relabel_adjacent(&mut self, level: u32) {
+        let (upper, lower) = (level as usize, level as usize + 1);
+        debug_assert_eq!(self.dead, 0, "relabelling needs a graph without dead nodes");
+        debug_assert!(
+            self.level_nodes(upper).all(|idx| {
+                let n = &self.nodes[idx as usize];
+                self.level(n.lo) != level + 1 && self.level(n.hi) != level + 1
+            }),
+            "relabelled levels interact: an upper node has a lower child"
+        );
+        self.relevel(upper, level + 1);
+        self.relevel(lower, level);
+        self.tables.swap(upper, lower);
+        self.exchange_labels(level);
+    }
 
-        // Phase 1: sift toward the nearer end first to cut swap volume.
-        let down_first = (levels - 1 - start) <= start;
-        let order: [i8; 2] = if down_first { [1, -1] } else { [-1, 1] };
-        let mut pos = start;
-        for (phase, &dir) in order.iter().enumerate() {
-            if phase == 1 {
-                // Return to the best point seen so far before exploring the
-                // other direction.
-                while pos < best_level {
-                    self.swap_adjacent(pos);
-                    pos += 1;
+    /// Rewrites the `level` field of every node chained in `table`.
+    fn relevel(&mut self, table: usize, level: u32) {
+        for b in 0..self.tables[table].buckets.len() {
+            let mut cursor = self.tables[table].buckets[b];
+            while cursor != NIL {
+                let n = &mut self.nodes[cursor as usize];
+                n.level = level;
+                cursor = n.next;
+            }
+        }
+    }
+
+    /// The node ids chained in the unique table of `level`.
+    fn level_nodes(&self, level: usize) -> impl Iterator<Item = u32> + '_ {
+        self.tables[level].buckets.iter().flat_map(move |&head| {
+            let first = Some(head).filter(|&c| c != NIL);
+            std::iter::successors(first, move |&c| {
+                Some(self.nodes[c as usize].next).filter(|&n| n != NIL)
+            })
+        })
+    }
+
+    /// The interaction matrix of the current graph: variables `a` and `b`
+    /// interact when some externally referenced node (more references than
+    /// in-graph parents) has both in its support.
+    ///
+    /// Call it on a graph without dead nodes. Then every node hangs below a
+    /// node without parents, which is externally referenced, and a node's
+    /// support lies inside each ancestor's; so the parentless nodes alone
+    /// give the whole matrix. Supports are computed bottom-up and interned,
+    /// so nodes with equal supports share one bit set.
+    fn interactions(&self) -> Interactions {
+        const HAS_PARENT: u32 = 1 << 31;
+        let vars = self.var_count();
+        let words = vars.div_ceil(64).max(1);
+        let fingerprint = |set: &[u64]| {
+            set.iter().fold(0, |h: u64, &w| pair_hash(((h ^ w) >> 32) as u32, (h ^ w) as u32))
+        };
+        // Interned support sets of `words` words each, keyed by fingerprint
+        // (a collision moves on to the next key). Set 0 is the terminal's
+        // empty set, so below only free slots and the terminal stay 0.
+        let mut sets = vec![0u64; words];
+        let mut ids: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
+        ids.insert(fingerprint(&sets), 0);
+        // Per node: its support's id, plus `HAS_PARENT` once a parent is seen.
+        let mut support = vec![0u32; self.nodes.len()];
+        let mut set = vec![0u64; words];
+        for level in (0..self.tables.len()).rev() {
+            let var = self.level_to_var[level] as usize;
+            for idx in self.level_nodes(level) {
+                let n = &self.nodes[idx as usize];
+                let (lo, hi) = ((n.lo >> 1) as usize, (n.hi >> 1) as usize);
+                support[lo] |= HAS_PARENT;
+                support[hi] |= HAS_PARENT;
+                let lo_set = (support[lo] & !HAS_PARENT) as usize * words;
+                let hi_set = (support[hi] & !HAS_PARENT) as usize * words;
+                for (w, word) in set.iter_mut().enumerate() {
+                    *word = sets[lo_set + w] | sets[hi_set + w];
                 }
-                while pos > best_level {
-                    self.swap_adjacent(pos - 1);
-                    pos -= 1;
+                set[var / 64] |= 1 << (var % 64);
+                let mut key = fingerprint(&set);
+                support[idx as usize] = loop {
+                    match ids.get(&key) {
+                        Some(&id) if sets[id as usize * words..][..words] == set[..] => break id,
+                        Some(_) => key = key.wrapping_add(1),
+                        None => {
+                            let id = (sets.len() / words) as u32;
+                            sets.extend_from_slice(&set);
+                            ids.insert(key, id);
+                            break id;
+                        }
+                    }
+                };
+            }
+        }
+        let mut rows = vec![0u64; vars * words];
+        let mut marked = vec![false; sets.len() / words];
+        for &entry in &support {
+            // A live parentless node, and the first one with this support.
+            if entry == 0
+                || entry & HAS_PARENT != 0
+                || std::mem::replace(&mut marked[entry as usize], true)
+            {
+                continue;
+            }
+            let set = &sets[entry as usize * words..][..words];
+            for a in (0..vars).filter(|&a| set[a / 64] >> (a % 64) & 1 == 1) {
+                for (row, word) in rows[a * words..][..words].iter_mut().zip(set) {
+                    *row |= word;
                 }
             }
+        }
+        Interactions { words, rows }
+    }
+
+    /// Swaps `level` and `level + 1` within a sifting pass: a relabel when
+    /// their variables do not interact, the full swap otherwise.
+    fn sift_swap(&mut self, level: u32, pass: &mut SiftPass) {
+        pass.swaps += 1;
+        let upper = self.level_to_var[level as usize];
+        let lower = self.level_to_var[level as usize + 1];
+        if pass.interactions.test(upper, lower) {
+            self.swap_adjacent(level);
+        } else {
+            pass.relabel_swaps += 1;
+            self.relabel_adjacent(level);
+        }
+    }
+
+    /// Moves `var` to `target` by adjacent sifting swaps.
+    fn sift_to(&mut self, var: BddVar, target: u32, pass: &mut SiftPass) {
+        let mut pos = self.level_of(var);
+        while pos < target {
+            self.sift_swap(pos, pass);
+            pos += 1;
+        }
+        while pos > target {
+            self.sift_swap(pos - 1, pass);
+            pos -= 1;
+        }
+    }
+
+    /// Sum over `levels` holding a variable that interacts with `var` of
+    /// the level's nodes other than its pinned projection.
+    fn reducible(&self, var: BddVar, levels: std::ops::Range<u32>, pass: &SiftPass) -> usize {
+        levels
+            .filter(|&l| pass.interactions.test(var.0, self.level_to_var[l as usize]))
+            .map(|l| self.tables[l as usize].count - 1)
+            .sum()
+    }
+
+    /// Moves `var` through the order to its locally best position: toward
+    /// the nearer end first, back to the best level seen, toward the other
+    /// end, then back to the best level.
+    ///
+    /// A direction ends once the size exceeds `max_growth` times the size
+    /// at the start, or before a swap once a lower bound on the size at
+    /// every position left in that direction reaches the best size seen.
+    /// While `var` moves, only its own level and the interacting levels it
+    /// passes change; every other level keeps its nodes, and every level
+    /// keeps its pinned projection. Moving down, the nodes at `var`'s level
+    /// do not vanish either: each stays the root of a function that depends
+    /// on `var`, now at `var`'s new level or at an interacting level it
+    /// passed. So the bound is the size minus the non-projection nodes of
+    /// the interacting levels below; moving up, it is the size minus those
+    /// of the interacting levels above and of `var`'s own level. No
+    /// position past the cut can be strictly smaller, so the sift ends
+    /// where one without the bound would.
+    fn sift_var(&mut self, var: BddVar, max_growth: f64, pass: &mut SiftPass) {
+        let levels = self.tables.len() as u32;
+        if levels < 2 {
+            return;
+        }
+        let start = self.level_of(var);
+        let limit = (self.live_count() as f64 * max_growth) as usize + 2;
+        let mut best_size = self.live_count();
+        let mut best_level = start;
+        let down_first = (levels - 1 - start) <= start;
+        for down in [down_first, !down_first] {
+            self.sift_to(var, best_level, pass);
+            let mut pos = best_level;
+            let mut reducible = if down {
+                self.reducible(var, pos + 1..levels, pass)
+            } else {
+                self.reducible(var, 0..pos, pass)
+            };
             loop {
-                if dir > 0 {
+                let (next, floor) = if down {
                     if pos + 1 >= levels {
                         break;
                     }
-                    self.swap_adjacent(pos);
-                    pos += 1;
+                    (pos + 1, self.live_count() - reducible)
                 } else {
                     if pos == 0 {
                         break;
                     }
-                    self.swap_adjacent(pos - 1);
-                    pos -= 1;
+                    let own = self.tables[pos as usize].count - 1;
+                    (pos - 1, self.live_count() - reducible - own)
+                };
+                if floor >= best_size {
+                    pass.pruned += 1;
+                    break;
                 }
+                // The level about to be passed leaves the bound's range; its
+                // count has not changed since the sum was taken.
+                if pass.interactions.test(var.0, self.level_to_var[next as usize]) {
+                    reducible -= self.tables[next as usize].count - 1;
+                }
+                self.sift_swap(pos.min(next), pass);
+                pos = next;
                 let size = self.live_count();
                 if size < best_size {
                     best_size = size;
@@ -207,16 +415,15 @@ impl BddManager {
                 }
             }
         }
-        // Phase 2: settle at the best position.
-        while pos < best_level {
-            self.swap_adjacent(pos);
-            pos += 1;
-        }
-        while pos > best_level {
-            self.swap_adjacent(pos - 1);
-            pos -= 1;
-        }
-        self.live_count()
+        self.sift_to(var, best_level, pass);
+    }
+
+    /// Rudell's schedule: every variable once, most populous level first.
+    fn sift_schedule(&self) -> Vec<BddVar> {
+        let mut vars: Vec<(usize, u32)> =
+            (0..self.tables.len()).map(|l| (self.tables[l].count, self.level_to_var[l])).collect();
+        vars.sort_by_key(|v| std::cmp::Reverse(v.0));
+        vars.into_iter().map(|(_, var)| BddVar(var)).collect()
     }
 
     /// One full sifting pass: every variable is sifted once, most populous
@@ -239,16 +446,18 @@ impl BddManager {
         }
         self.cache.clear();
         let max_growth = self.reorder_settings.max_growth;
-        let mut vars: Vec<(usize, u32)> =
-            (0..self.tables.len()).map(|l| (self.tables[l].count, self.level_to_var[l])).collect();
-        vars.sort_by_key(|v| std::cmp::Reverse(v.0));
-        for (_, var) in vars {
-            self.sift_var(BddVar(var), max_growth);
+        let mut pass =
+            SiftPass { interactions: self.interactions(), swaps: 0, relabel_swaps: 0, pruned: 0 };
+        for var in self.sift_schedule() {
+            self.sift_var(var, max_growth, &mut pass);
         }
         self.note_reordering();
         let live = self.live_count();
         if let Some(s) = span {
             s.set_attr("live_after", live);
+            s.set_attr("swaps", pass.swaps);
+            s.set_attr("relabel_swaps", pass.relabel_swaps);
+            s.set_attr("pruned", pass.pruned);
             self.tracer.record("bdd.reorder.live_after", live as u64);
         }
         self.flight_note("reorder", live_before as u64, live as u64);
@@ -324,7 +533,9 @@ impl BddManager {
     }
 
     /// Triggers [`BddManager::reorder`] if automatic reordering is enabled
-    /// and the live node count exceeds the configured threshold.
+    /// and the stored node count ([`BddStats::live_nodes`](crate::BddStats::live_nodes),
+    /// dead nodes awaiting collection included) exceeds the configured
+    /// threshold. The pass collects garbage before it sifts.
     ///
     /// Returns `true` if a reordering pass ran. Call this between
     /// operations only — never while unprotected intermediate results are
@@ -371,6 +582,203 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReorderSettings;
+    use bbec_trace::{AttrValue, Trace, TraceEvent, Tracer};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    impl BddManager {
+        /// The sift without interaction matrix or lower bound: full swaps
+        /// only, each direction run to the growth limit or the end.
+        fn sift_var_reference(&mut self, var: BddVar, max_growth: f64) {
+            let levels = self.tables.len() as u32;
+            if levels < 2 {
+                return;
+            }
+            let start = self.level_of(var);
+            let start_size = self.live_count();
+            let limit = (start_size as f64 * max_growth) as usize + 2;
+            let mut best_size = start_size;
+            let mut best_level = start;
+            let down_first = (levels - 1 - start) <= start;
+            let order: [i8; 2] = if down_first { [1, -1] } else { [-1, 1] };
+            let mut pos = start;
+            for (phase, &dir) in order.iter().enumerate() {
+                if phase == 1 {
+                    while pos < best_level {
+                        self.swap_adjacent(pos);
+                        pos += 1;
+                    }
+                    while pos > best_level {
+                        self.swap_adjacent(pos - 1);
+                        pos -= 1;
+                    }
+                }
+                loop {
+                    if dir > 0 {
+                        if pos + 1 >= levels {
+                            break;
+                        }
+                        self.swap_adjacent(pos);
+                        pos += 1;
+                    } else {
+                        if pos == 0 {
+                            break;
+                        }
+                        self.swap_adjacent(pos - 1);
+                        pos -= 1;
+                    }
+                    let size = self.live_count();
+                    if size < best_size {
+                        best_size = size;
+                        best_level = pos;
+                    }
+                    if size > limit {
+                        break;
+                    }
+                }
+            }
+            while pos < best_level {
+                self.swap_adjacent(pos);
+                pos += 1;
+            }
+            while pos > best_level {
+                self.swap_adjacent(pos - 1);
+                pos -= 1;
+            }
+        }
+
+        /// [`BddManager::reorder`] with the reference sift.
+        fn reorder_reference(&mut self) -> usize {
+            self.collect_garbage();
+            self.cache.clear();
+            let max_growth = self.reorder_settings.max_growth;
+            for var in self.sift_schedule() {
+                self.sift_var_reference(var, max_growth);
+            }
+            self.note_reordering();
+            self.live_count()
+        }
+    }
+
+    /// A seeded random forest of separately protected roots over 2 to 14
+    /// variables in a shuffled order. Variables fall into groups: a root
+    /// over one group has a support disjoint from other groups' roots, a
+    /// root over two groups shares it. Random negations put complement
+    /// edges everywhere; unprotected intermediates stay behind as garbage.
+    fn random_forest(seed: u64, max_growth: f64) -> (BddManager, Vec<Bdd>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = BddManager::with_reordering(ReorderSettings {
+            enabled: false,
+            max_growth,
+            ..ReorderSettings::default()
+        });
+        let n = rng.random_range(2..=14usize);
+        let vars = m.new_vars(n);
+        let mut order = vars.clone();
+        order.shuffle(&mut rng);
+        m.set_var_order(&order);
+        let groups = rng.random_range(1..=n.min(4));
+        let group: Vec<usize> = (0..n).map(|_| rng.random_range(0..groups)).collect();
+        let mut roots = Vec::new();
+        for _ in 0..rng.random_range(1..=6) {
+            let (g1, g2) = (rng.random_range(0..groups), rng.random_range(0..groups));
+            let g2 = if rng.random_bool(0.4) { g2 } else { g1 };
+            let mut pool: Vec<Bdd> = (0..n)
+                .filter(|&i| group[i] == g1 || group[i] == g2)
+                .map(|i| m.var(vars[i]))
+                .collect();
+            if pool.is_empty() {
+                continue;
+            }
+            for _ in 0..rng.random_range(1..=2 * pool.len()) {
+                let f = pool[rng.random_range(0..pool.len())];
+                let g = pool[rng.random_range(0..pool.len())];
+                let g = if rng.random_bool(0.5) { m.not(g) } else { g };
+                let h = match rng.random_range(0..4) {
+                    0 => m.and(f, g),
+                    1 => m.or(f, g),
+                    2 => m.xor(f, g),
+                    _ => {
+                        let c = pool[rng.random_range(0..pool.len())];
+                        m.ite(c, f, g)
+                    }
+                };
+                pool.push(h);
+            }
+            roots.push(m.protect(pool[pool.len() - 1]));
+        }
+        (m, roots)
+    }
+
+    /// Sums one numeric attribute over the `bdd.reorder` spans of a trace.
+    fn reorder_attr(trace: &Trace, key: &str) -> u64 {
+        trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Span { name: "bdd.reorder", attrs, .. } => {
+                    attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+                }
+                _ => None,
+            })
+            .map(|v| match v {
+                AttrValue::U64(n) => n,
+                other => panic!("{key} is not a count: {other:?}"),
+            })
+            .sum()
+    }
+
+    #[test]
+    fn bounded_relabelling_sift_ends_where_the_reference_does() {
+        let tracer = Tracer::new();
+        for seed in 0..300 {
+            let max_growth = [1.0, 1.2, 2.0][seed as usize % 3];
+            let (mut m, roots) = random_forest(seed, max_growth);
+            let (mut reference, _) = random_forest(seed, max_growth);
+            m.set_tracer(tracer.clone());
+            let n = m.var_count();
+            let tables: Vec<Vec<bool>> = roots.iter().map(|&f| truth_table(&m, f, n)).collect();
+            for pass in 0..2 {
+                m.reorder();
+                reference.reorder_reference();
+                m.check_invariants();
+                assert_eq!(m.var_order(), reference.var_order(), "seed {seed}, pass {pass}");
+                assert_eq!(
+                    m.stats().live_nodes,
+                    reference.stats().live_nodes,
+                    "seed {seed}, pass {pass}"
+                );
+                assert_eq!(m.dead_nodes(), 0, "a sifting swap left dead nodes");
+            }
+            for (&f, table) in roots.iter().zip(&tables) {
+                assert_eq!(&truth_table(&m, f, n), table, "seed {seed}: a root changed");
+            }
+        }
+        // Both shortcuts must have fired, or the equivalence is vacuous.
+        let trace = tracer.finish();
+        let relabels = reorder_attr(&trace, "relabel_swaps");
+        assert!(relabels > 0, "no swap was a relabel");
+        assert!(reorder_attr(&trace, "swaps") > relabels, "every swap was a relabel");
+        assert!(reorder_attr(&trace, "pruned") > 0, "the lower bound never ended a direction");
+    }
+
+    #[test]
+    fn interaction_matrix_matches_support_pairs_of_the_roots() {
+        for seed in 0..100 {
+            let (mut m, roots) = random_forest(seed, 1.2);
+            m.collect_garbage();
+            let matrix = m.interactions();
+            let supports: Vec<Vec<BddVar>> = roots.iter().map(|&f| m.support(f)).collect();
+            let n = m.var_count() as u32;
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).filter(|(a, b)| a != b) {
+                let together =
+                    supports.iter().any(|s| s.contains(&BddVar(a)) && s.contains(&BddVar(b)));
+                assert_eq!(matrix.test(a, b), together, "seed {seed}: variables {a} and {b}");
+            }
+        }
+    }
 
     /// Builds f = (x0 ∧ x1) ∨ (x2 ∧ x3) ∨ (x4 ∧ x5) and returns (manager, f).
     fn two_level_example() -> (BddManager, Bdd, Vec<BddVar>) {
@@ -504,6 +912,30 @@ mod tests {
         let f = m.and(a, b);
         m.protect(f);
         assert!(!m.maybe_reorder(), "below threshold must not reorder");
+    }
+
+    #[test]
+    fn dead_nodes_alone_can_trigger_reordering() {
+        let threshold = 24;
+        let mut m = BddManager::with_reordering(ReorderSettings {
+            threshold,
+            ..ReorderSettings::default()
+        });
+        let vars = m.new_vars(8);
+        let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
+        let f = m.and(lits[0], lits[1]);
+        m.protect(f);
+        let kept = m.stats().live_nodes;
+        assert!(kept <= threshold);
+        // Unprotected parity prefixes: garbage awaiting collection.
+        let mut parity = m.constant(false);
+        for &l in &lits {
+            parity = m.xor(parity, l);
+        }
+        assert!(m.stats().live_nodes > threshold, "the garbage must cross the threshold");
+        assert!(m.maybe_reorder(), "the trigger counts unreferenced nodes");
+        // The pass collected the garbage first and sifted the rest.
+        assert_eq!(m.stats().live_nodes, kept);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! BDD micro-benchmark: raw operator-core throughput on the three hot
 //! paths of the equivalence-check ladder — apply (negation-heavy Boolean
 //! combination), quantification (the ∃/∀ alternation of the output- and
-//! input-exact rungs) and dynamic reordering.
+//! input-exact rungs) and dynamic reordering, the last both on one root
+//! whose variables all interact (`reorder`) and on a forest of roots whose
+//! variables mostly do not (`reorder_forest`).
 //!
 //! Writes a schema-valid JSONL trace stream (validate with the
 //! `trace-schema` binary of `bbec-trace`); one `bdd_micro` record per
 //! workload carrying ops/sec, peak live nodes and cache hit rate, plus a
 //! `bdd_micro_summary` record. The committed `BENCH_bdd.json` holds the
-//! before/after rows of the complement-edge rewrite; CI re-runs this
-//! binary and gates on a >25% ops/sec regression via
+//! before/after rows of the interaction-matrix sifting change; CI re-runs
+//! this binary and gates on a >25% ops/sec regression via
 //! `bbec report --compare`.
 //!
 //! ```text
@@ -227,6 +229,49 @@ fn bench_reorder(rounds: usize) -> Measurement {
     }
 }
 
+/// Sifting a forest whose variables mostly do not interact: ten
+/// separately protected pair functions over twenty variables, scrambled
+/// before every pass. A variable shares a support with its partner only,
+/// so most adjacent swaps rewrite no nodes.
+fn bench_reorder_forest(rounds: usize) -> Measurement {
+    let mut m = BddManager::with_reordering(ReorderSettings {
+        enabled: false,
+        ..ReorderSettings::default()
+    });
+    let nvars = 20;
+    let vars = m.new_vars(nvars);
+    for i in 0..nvars / 2 {
+        let a = m.var(vars[i]);
+        let b = m.var(vars[i + nvars / 2]);
+        let f = m.and(a, b);
+        m.protect(f);
+    }
+    let mut rng = Rng(0xBBEC_0004);
+    let mut scrambled = vars.clone();
+    for i in (1..nvars).rev() {
+        scrambled.swap(i, rng.below(i + 1));
+    }
+    m.reset_peak();
+    let t0 = Instant::now();
+    let mut ops = 0u64;
+    for _ in 0..rounds {
+        m.set_var_order(&scrambled);
+        m.reorder();
+        ops += 1;
+    }
+    let millis = t0.elapsed().as_secs_f64() * 1e3;
+    let t = m.telemetry();
+    let total = t.cache_hits + t.cache_misses;
+    Measurement {
+        workload: "reorder_forest",
+        ops,
+        millis,
+        apply_steps: t.apply_steps,
+        peak_live_nodes: m.stats().peak_live_nodes,
+        cache_hit_rate: if total == 0 { 0.0 } else { t.cache_hits as f64 / total as f64 },
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -235,17 +280,21 @@ fn main() {
     let out = flag("--out").unwrap_or_else(|| "BENCH_bdd.json".to_string());
     let phase = flag("--phase").unwrap_or_else(|| "current".to_string());
 
-    let (apply_rounds, quant_rounds, reorder_rounds) =
-        if quick { (2_000, 300, 4) } else { (20_000, 3_000, 24) };
+    let (apply_rounds, quant_rounds, reorder_rounds, forest_rounds) =
+        if quick { (2_000, 300, 4, 1_000) } else { (20_000, 3_000, 24, 10_000) };
 
-    let rows =
-        [bench_apply(apply_rounds), bench_quant(quant_rounds), bench_reorder(reorder_rounds)];
+    let rows = [
+        bench_apply(apply_rounds),
+        bench_quant(quant_rounds),
+        bench_reorder(reorder_rounds),
+        bench_reorder_forest(forest_rounds),
+    ];
 
     let tracer = Tracer::new();
     println!("bdd_micro (phase {phase}{}):", if quick { ", quick" } else { "" });
     for r in &rows {
         println!(
-            "  {:<8} {:>9} ops in {:>9.2} ms = {:>12.0} ops/s   peak {:>8} nodes, {:>5.1}% cache hits",
+            "  {:<14} {:>9} ops in {:>9.2} ms = {:>12.0} ops/s   peak {:>8} nodes, {:>5.1}% cache hits",
             r.workload,
             r.ops,
             r.millis,

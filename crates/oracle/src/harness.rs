@@ -661,8 +661,13 @@ mod tests {
     #[test]
     fn sift_engine_actually_reorders() {
         // The reorder-invariance contract is vacuous unless sifting fires
-        // on the instances the harness sees.
-        let settings = sift_settings(&HarnessConfig::default().settings);
+        // on the instances the harness sees, and it covers the sift's
+        // relabel swaps and lower-bound cuts only if those fire too.
+        let tracer = bbec_trace::Tracer::new();
+        let settings = CheckSettings {
+            tracer: tracer.clone(),
+            ..sift_settings(&HarnessConfig::default().settings)
+        };
         let passes: u64 = (0..25u64)
             .filter_map(|index| generate(case_seed(11, index)))
             .filter_map(|i| ParallelChecker::new(settings.clone(), 1).run(&i.spec, &i.partial).ok())
@@ -670,6 +675,25 @@ mod tests {
             .filter_map(|stage| stage.outcome().map(|o| o.stats.reorder_passes))
             .sum();
         assert!(passes > 0, "sifting never ran on the generated cases");
+        let trace = tracer.finish();
+        let total = |key: &str| -> u64 {
+            trace
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    bbec_trace::TraceEvent::Span { name: "bdd.reorder", attrs, .. } => {
+                        attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+                    }
+                    _ => None,
+                })
+                .map(|v| match v {
+                    bbec_trace::AttrValue::U64(n) => n,
+                    other => panic!("{key} is not a count: {other:?}"),
+                })
+                .sum()
+        };
+        assert!(total("relabel_swaps") > 0, "no sifting swap was a relabel");
+        assert!(total("pruned") > 0, "the sifting lower bound never ended a direction");
     }
 
     #[test]
