@@ -68,12 +68,8 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for jobs in [1usize, 2, 4] {
-        let checker = ParallelChecker {
-            settings: settings.clone(),
-            jobs,
-            stages: per_output.clone(),
-            sat_refinement_budget: 0,
-        };
+        let checker =
+            ParallelChecker { settings: settings.clone(), jobs, stages: per_output.clone() };
         let mut best = f64::INFINITY;
         let mut verdict = None;
         for _ in 0..reps {

@@ -11,9 +11,11 @@ use crate::partial::PartialCircuit;
 use crate::report::{
     CheckError, CheckOutcome, CheckSettings, Counterexample, Method, ResourceStats, Verdict,
 };
-use crate::session::CheckSession;
 use bbec_netlist::Circuit;
 use std::time::{Duration, Instant};
+
+/// CEGAR refinement budget of a [`Method::SatOutputExact`] rung.
+const SAT_REFINEMENT_BUDGET: usize = 100_000;
 
 /// Runs a configurable sequence of checks, stopping at the first error.
 ///
@@ -30,8 +32,6 @@ pub struct CheckLadder {
     pub settings: CheckSettings,
     /// The stages, in execution order.
     pub stages: Vec<Method>,
-    /// CEGAR refinement budget for [`Method::SatOutputExact`] stages.
-    pub sat_refinement_budget: usize,
 }
 
 impl Default for CheckLadder {
@@ -45,7 +45,6 @@ impl Default for CheckLadder {
                 Method::OutputExact,
                 Method::InputExact,
             ],
-            sat_refinement_budget: 100_000,
         }
     }
 }
@@ -180,53 +179,13 @@ impl CheckLadder {
                     spec,
                     partial,
                     &self.settings,
-                    self.sat_refinement_budget,
+                    SAT_REFINEMENT_BUDGET,
                 ),
                 other => {
                     return Err(CheckError::InvalidPartial(format!(
                         "method {other} cannot run inside a ladder"
                     )))
                 }
-            };
-            span.set_attr("budget_exceeded", matches!(&result, Err(CheckError::BudgetExceeded(_))));
-            drop(span);
-            if Self::push_stage(&mut stages, stage, result, rung_start.elapsed())? {
-                break;
-            }
-        }
-        Ok(LadderReport { stages })
-    }
-
-    /// Like [`CheckLadder::run`], but reuses a [`CheckSession`]'s
-    /// specification BDDs across the BDD-based rungs. The session stays
-    /// usable after budget-exceeded rungs — no refresh is triggered.
-    ///
-    /// # Errors
-    ///
-    /// As [`CheckLadder::run`]; the session's specification must match
-    /// `spec` by construction (the session owns it).
-    pub fn run_with_session(
-        &self,
-        session: &mut CheckSession,
-        partial: &PartialCircuit,
-    ) -> Result<LadderReport, CheckError> {
-        let mut stages = Vec::new();
-        for &stage in &self.stages {
-            let span = self.settings.tracer.span("core.ladder_rung");
-            span.set_attr("method", stage.label());
-            self.settings.progress.set_task(stage.label());
-            let rung_start = Instant::now();
-            let result = match stage {
-                Method::SatDualRail => {
-                    crate::sat_checks::sat_dual_rail(session.spec(), partial, &self.settings)
-                }
-                Method::SatOutputExact => crate::sat_checks::sat_output_exact(
-                    session.spec(),
-                    partial,
-                    &self.settings,
-                    self.sat_refinement_budget,
-                ),
-                method => session.check(partial, method),
             };
             span.set_attr("budget_exceeded", matches!(&result, Err(CheckError::BudgetExceeded(_))));
             drop(span);
@@ -330,9 +289,8 @@ mod tests {
         }
     }
 
-    /// ISSUE satellite: a ladder whose input-exact rung exceeds a tiny step
-    /// budget still reports the verdict of the strongest finished rung, and
-    /// the same session answers a subsequent query without refreshing.
+    /// A ladder whose input-exact rung exceeds a tiny step budget still
+    /// reports the verdict of the strongest finished rung.
     #[test]
     fn budget_exceeded_rung_degrades_gracefully() {
         let (spec, partial) = samples::detected_only_by_input_exact();
@@ -343,16 +301,19 @@ mod tests {
             ..CheckSettings::default()
         };
 
-        // Calibrate: run the BDD rungs unbudgeted in ladder order and
-        // record each rung's deterministic step cost (reordering is off, so
-        // a second session charges the exact same step counts).
-        let mut cal = CheckSession::new(spec.clone(), base.clone()).unwrap();
-        let mut max_earlier = 0;
-        for m in [Method::Symbolic01X, Method::Local, Method::OutputExact] {
-            let out = cal.check(&partial, m).unwrap();
-            max_earlier = max_earlier.max(out.stats.apply_steps);
-        }
-        let ie = cal.check(&partial, Method::InputExact).unwrap();
+        // Calibrate: run the BDD rungs unbudgeted as one-shot checks and
+        // record each rung's deterministic step cost (reordering is off,
+        // so the ladder's rungs charge the exact same step counts).
+        let max_earlier = [
+            symbolic_01x(&spec, &partial, &base),
+            local_check(&spec, &partial, &base),
+            output_exact(&spec, &partial, &base),
+        ]
+        .into_iter()
+        .map(|out| out.unwrap().stats.apply_steps)
+        .max()
+        .unwrap();
+        let ie = input_exact(&spec, &partial, &base).unwrap();
         assert_eq!(ie.verdict, Verdict::ErrorFound, "sample is detected only by input-exact");
         assert!(
             ie.stats.apply_steps > max_earlier,
@@ -361,9 +322,7 @@ mod tests {
 
         // A step limit that admits every rung except input-exact.
         let tight = CheckSettings { step_limit: Some(max_earlier), ..base };
-        let mut session = CheckSession::new(spec.clone(), tight.clone()).unwrap();
-        let l = CheckLadder::with_settings(tight);
-        let report = l.run_with_session(&mut session, &partial).unwrap();
+        let report = CheckLadder::with_settings(tight).run(&spec, &partial).unwrap();
 
         assert_eq!(report.stages.len(), 5);
         assert_eq!(report.budget_exceeded(), vec![Method::InputExact]);
@@ -378,11 +337,5 @@ mod tests {
         // verdict is "no error found" — from the strongest finished rung.
         assert_eq!(report.verdict(), Verdict::NoErrorFound);
         assert_eq!(report.deciding_method(), None);
-
-        // The session survived the abort without a refresh and still
-        // answers queries.
-        let again = session.check(&partial, Method::OutputExact).unwrap();
-        assert_eq!(again.verdict, Verdict::NoErrorFound);
-        assert_eq!(session.refreshes(), 0, "budget abort must not force a refresh");
     }
 }

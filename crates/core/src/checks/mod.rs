@@ -31,9 +31,7 @@ pub use exact::{exact_decomposition, BoxTable, ExactOutcome};
 pub use ladder::{CheckLadder, LadderReport, StageResult};
 pub use random::{random_patterns, random_patterns_scalar};
 pub use ternary::symbolic_01x;
-pub(crate) use ternary::symbolic_01x_with;
 pub use zi::{input_exact, local_check, output_exact};
-pub(crate) use zi::{input_exact_with, local_check_with, output_exact_with};
 
 use crate::partial::PartialCircuit;
 use crate::report::{BudgetAbort, CheckError, CheckOutcome, CheckSettings, ResourceStats};
@@ -164,11 +162,10 @@ impl CheckProbe {
     }
 }
 
-/// A fresh context holding the spec's BDDs: the preamble of every one-shot
-/// BDD check and of a [`crate::CheckSession`]. The spec build runs under
-/// its own probe, before a check's probe opens a fresh budget window, so
-/// its wall clock is carried here and charged to a one-shot check's stats
-/// by [`OwnedSetup::charge`].
+/// A fresh context holding the spec's BDDs: the preamble of every BDD
+/// check. The spec build runs under its own probe, before a check's probe
+/// opens a fresh budget window, so its wall clock is carried here and
+/// charged to the check's stats by [`OwnedSetup::charge`].
 pub(crate) struct OwnedSetup {
     pub(crate) ctx: SymbolicContext,
     pub(crate) spec_bdds: Vec<Bdd>,
@@ -186,8 +183,8 @@ impl OwnedSetup {
         Ok(OwnedSetup { ctx, spec_bdds, spec_build: probe.start.elapsed() })
     }
 
-    /// Adds the spec build to the duration a one-shot check reports, on the
-    /// success and the budget-abort path alike.
+    /// Adds the spec build to the duration a check reports, on the success
+    /// and the budget-abort path alike.
     pub(crate) fn charge(
         &self,
         result: Result<CheckOutcome, CheckError>,

@@ -29,7 +29,7 @@ pub fn symbolic_01x(
     owned.charge(result)
 }
 
-pub(crate) fn symbolic_01x_with(
+fn symbolic_01x_with(
     ctx: &mut SymbolicContext,
     spec_bdds: &[Bdd],
     spec: &Circuit,

@@ -9,10 +9,9 @@ use bbec_bdd::{Bdd, BudgetExceeded, Cube};
 use bbec_netlist::Circuit;
 
 /// Shared preamble of the Z_i checks: both function vectors plus the
-/// per-check resource probe and protection guard. Borrows the context so a
-/// [`crate::CheckSession`] can amortise the specification BDDs over many
-/// checks.
-pub(crate) struct ZiSetup<'a> {
+/// per-check resource probe and protection guard, borrowing the context
+/// that holds the specification BDDs.
+struct ZiSetup<'a> {
     ctx: &'a mut SymbolicContext,
     spec_bdds: &'a [Bdd],
     sym: PartialSymbolic,
@@ -21,7 +20,7 @@ pub(crate) struct ZiSetup<'a> {
     guard: Guard,
 }
 
-pub(crate) fn setup_in<'a>(
+fn setup_in<'a>(
     ctx: &'a mut SymbolicContext,
     spec_bdds: &'a [Bdd],
     spec: &Circuit,
@@ -81,7 +80,7 @@ pub fn local_check(
     owned.charge(result)
 }
 
-pub(crate) fn local_check_with(
+fn local_check_with(
     ctx: &mut SymbolicContext,
     spec_bdds: &[Bdd],
     spec: &Circuit,
@@ -91,7 +90,7 @@ pub(crate) fn local_check_with(
     match local_body(&mut s) {
         Ok((verdict, cex)) => {
             // Release the setup's protections before surfacing a rejected
-            // witness, so a session context stays leak-free on this path.
+            // witness, so the context stays balanced on this path too.
             let reject = cex
                 .as_ref()
                 .and_then(|c| crate::cex::validate_counterexample(spec, partial, c).err());
@@ -172,7 +171,7 @@ pub fn output_exact(
     owned.charge(result)
 }
 
-pub(crate) fn output_exact_with(
+fn output_exact_with(
     ctx: &mut SymbolicContext,
     spec_bdds: &[Bdd],
     spec: &Circuit,
@@ -238,7 +237,7 @@ pub fn input_exact(
     owned.charge(result)
 }
 
-pub(crate) fn input_exact_with(
+fn input_exact_with(
     ctx: &mut SymbolicContext,
     spec_bdds: &[Bdd],
     spec: &Circuit,

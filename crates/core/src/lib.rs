@@ -23,7 +23,6 @@
 //! * [`preprocess`] — structural-sweeping front-end (constant propagation,
 //!   identical-point merging, dead-logic removal) run before the ladder,
 //!   verdict-invariant and black-box-aware,
-//! * [`CheckSession`] — amortises the specification's BDDs over many checks,
 //! * [`ParallelChecker`] — shards the per-output rungs over worker threads
 //!   by cone of influence, one private BDD manager per worker,
 //! * [`diagnose`] — fault localisation by black-boxing suspect regions
@@ -74,7 +73,6 @@ mod report;
 pub mod samples;
 pub mod sat_checks;
 pub mod service;
-mod session;
 mod symbolic;
 pub mod unroll;
 
@@ -86,5 +84,4 @@ pub use report::{
     BudgetAbort, CheckError, CheckOutcome, CheckSettings, Counterexample, Method, ResourceStats,
     Verdict,
 };
-pub use session::CheckSession;
 pub use symbolic::{PartialSymbolic, SymbolicContext, TernaryBdd, TernarySim};

@@ -35,6 +35,13 @@
 //! shard's cone (treated as free unknowns by the per-output rungs, which
 //! never read box *input* pins — only the input-exact check does, and it
 //! never runs on shards).
+//!
+//! ## Cone store
+//!
+//! The check service runs this same pipeline over its cone cache
+//! ([`ConeStore`]): a cone whose subcircuits hash to a stored report
+//! replays that report instead of running, and only the other cones run.
+//! The CLI passes no store.
 
 use crate::checks::{CheckLadder, LadderReport, StageResult};
 use crate::partial::{BlackBox, PartialCircuit};
@@ -60,6 +67,28 @@ pub struct Shard {
     pub partial: PartialCircuit,
 }
 
+/// Per-cone mini-ladder reports kept between runs (the check service's
+/// cone cache), keyed by a cone's two structural hashes:
+/// [`crate::ledger::instance_hash`] and [`crate::ledger::instance_hash_alt`]
+/// of its shard subcircuits.
+pub(crate) trait ConeStore {
+    /// The stored report of a cone, if any.
+    fn get(&self, key: (u64, u64)) -> Option<LadderReport>;
+    /// Keeps a freshly computed report that exceeded no budget.
+    fn put(&self, key: (u64, u64), report: &LadderReport);
+}
+
+/// The result of [`ParallelChecker::run_with`].
+pub(crate) struct Run {
+    pub(crate) report: LadderReport,
+    /// One flag per planned cone, in shard order: whether its report came
+    /// from the store instead of running.
+    pub(crate) reused: Vec<bool>,
+    /// Apply steps of every rung that ran: the fresh cones' mini-ladders
+    /// and the joint rungs. Stored cones cost nothing.
+    pub(crate) fresh_steps: u64,
+}
+
 /// Runs the check ladder with the per-output rungs sharded across worker
 /// threads, each owning a private BDD manager.
 ///
@@ -80,15 +109,12 @@ pub struct ParallelChecker {
     /// (`r.p.`, `0,1,X`, `loc.`) form the sharded phase; all others run
     /// jointly on the full circuits afterwards.
     pub stages: Vec<Method>,
-    /// CEGAR refinement budget for [`Method::SatOutputExact`] stages.
-    pub sat_refinement_budget: usize,
 }
 
 impl ParallelChecker {
     /// A checker with the paper's default five-rung ladder.
     pub fn new(settings: CheckSettings, jobs: usize) -> Self {
-        let CheckLadder { stages, sat_refinement_budget, .. } = CheckLadder::default();
-        ParallelChecker { settings, jobs, stages, sat_refinement_budget }
+        ParallelChecker { settings, jobs, stages: CheckLadder::default().stages }
     }
 
     /// Whether a method decides each output independently and can shard.
@@ -108,6 +134,24 @@ impl ParallelChecker {
         spec: &Circuit,
         partial: &PartialCircuit,
     ) -> Result<LadderReport, CheckError> {
+        self.run_with(spec, partial, None).map(|run| run.report)
+    }
+
+    /// [`ParallelChecker::run`] over an optional cone store: cones the
+    /// store holds replay their stored reports instead of running, and
+    /// fresh reports that exceeded no budget are stored. The merge is
+    /// deterministic in shard order, so stored and fresh reports give the
+    /// same verdict, deciding method and witness as a run without a store.
+    ///
+    /// # Errors
+    ///
+    /// As [`ParallelChecker::run`].
+    pub(crate) fn run_with(
+        &self,
+        spec: &Circuit,
+        partial: &PartialCircuit,
+        store: Option<&dyn ConeStore>,
+    ) -> Result<Run, CheckError> {
         crate::checks::validate_interface(spec, partial)?;
         let pre;
         let (spec, partial) = if self.settings.sweep {
@@ -121,48 +165,66 @@ impl ParallelChecker {
         let phase_b: Vec<Method> =
             self.stages.iter().copied().filter(|&m| !Self::is_per_output(m)).collect();
 
-        let mut stages: Vec<StageResult> = Vec::new();
+        let mut run =
+            Run { report: LadderReport { stages: Vec::new() }, reused: Vec::new(), fresh_steps: 0 };
         let mut error_found = false;
         if !phase_a.is_empty() {
             let shards = plan_shards(spec, partial)?;
             if !shards.is_empty() {
-                error_found = self.run_sharded(spec, partial, &shards, &phase_a, &mut stages)?;
+                error_found =
+                    self.run_sharded(spec, partial, &shards, &phase_a, store, &mut run)?;
             }
         }
         if !error_found && !phase_b.is_empty() {
-            let ladder = CheckLadder {
-                settings: self.settings.clone(),
-                stages: phase_b,
-                sat_refinement_budget: self.sat_refinement_budget,
-            };
-            stages.extend(ladder.run(spec, partial)?.stages);
+            let ladder = CheckLadder { settings: self.settings.clone(), stages: phase_b };
+            let stages = ladder.run(spec, partial)?.stages;
+            run.fresh_steps += stages.iter().map(stage_steps).sum::<u64>();
+            run.report.stages.extend(stages);
         }
-        Ok(LadderReport { stages })
+        Ok(run)
     }
 
-    /// Runs the per-output mini-ladder on every shard, merges the results
-    /// into `stages` and reports whether an error stopped the ladder.
+    /// Runs the per-output mini-ladder on every shard the store lacks,
+    /// merges fresh and stored results into `run` and reports whether an
+    /// error stopped the ladder.
     fn run_sharded(
         &self,
         spec: &Circuit,
         partial: &PartialCircuit,
         shards: &[Shard],
         phase_a: &[Method],
-        stages: &mut Vec<StageResult>,
+        store: Option<&dyn ConeStore>,
+        run: &mut Run,
     ) -> Result<bool, CheckError> {
+        // Stored cones replay their reports; only the others run.
+        let keys: Vec<(u64, u64)> = match store {
+            Some(_) => shards
+                .iter()
+                .map(|sh| {
+                    let h = crate::ledger::instance_hash(&sh.spec, &sh.partial);
+                    (h, crate::ledger::instance_hash_alt(&sh.spec, &sh.partial))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut reports: Vec<Option<LadderReport>> =
+            (0..shards.len()).map(|i| store.and_then(|s| s.get(keys[i]))).collect();
+        run.reused = reports.iter().map(Option::is_some).collect();
+        let fresh: Vec<usize> = (0..shards.len()).filter(|&i| reports[i].is_none()).collect();
+
         let phase_span = self.settings.tracer.span("core.parallel_phase");
         phase_span.set_attr("shards", shards.len());
-        let jobs = self.jobs.clamp(1, shards.len());
+        let jobs = self.jobs.clamp(1, fresh.len().max(1));
         phase_span.set_attr("jobs", jobs);
 
-        // One child tracer and one ladder per shard, fixed before any
+        // One child tracer and one ladder per fresh shard, fixed before any
         // worker starts, so the schedule cannot influence what runs.
         let children: Vec<bbec_trace::Tracer> =
-            shards.iter().map(|_| self.settings.tracer.child()).collect();
+            fresh.iter().map(|_| self.settings.tracer.child()).collect();
         let ladders: Vec<CheckLadder> = children
             .iter()
-            .enumerate()
-            .map(|(i, child)| CheckLadder {
+            .zip(&fresh)
+            .map(|(child, &i)| CheckLadder {
                 settings: CheckSettings {
                     tracer: child.clone(),
                     // Each worker reports heartbeats under its own region;
@@ -173,71 +235,78 @@ impl ParallelChecker {
                     ..self.settings.clone()
                 },
                 stages: phase_a.to_vec(),
-                sat_refinement_budget: self.sat_refinement_budget,
             })
             .collect();
+        let run_one = |k: usize| ladders[k].run(&shards[fresh[k]].spec, &shards[fresh[k]].partial);
 
-        let mut reports: Vec<Option<Result<LadderReport, CheckError>>> = Vec::new();
+        let mut results: Vec<Option<Result<LadderReport, CheckError>>> = Vec::new();
         if jobs <= 1 {
-            for (shard, ladder) in shards.iter().zip(&ladders) {
-                reports.push(Some(ladder.run(&shard.spec, &shard.partial)));
-            }
+            results.extend((0..fresh.len()).map(|k| Some(run_one(k))));
         } else {
             let next = AtomicUsize::new(0);
             let slots: Mutex<Vec<Option<Result<LadderReport, CheckError>>>> =
-                Mutex::new((0..shards.len()).map(|_| None).collect());
+                Mutex::new((0..fresh.len()).map(|_| None).collect());
             std::thread::scope(|scope| {
                 for _ in 0..jobs {
                     scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= shards.len() {
+                        let k = next.fetch_add(1, Ordering::SeqCst);
+                        if k >= fresh.len() {
                             break;
                         }
-                        let result = ladders[i].run(&shards[i].spec, &shards[i].partial);
-                        slots.lock().unwrap()[i] = Some(result);
+                        let result = run_one(k);
+                        slots.lock().expect("a worker panicked")[k] = Some(result);
                     });
                 }
             });
-            reports = slots.into_inner().unwrap();
+            results = slots.into_inner().expect("a worker panicked");
         }
 
         // Graft every worker's span tree under one parent span per shard,
         // in shard order, so the merged trace is schedule-independent.
-        for (i, (child, shard)) in children.iter().zip(shards).enumerate() {
+        for (child, &i) in children.iter().zip(&fresh) {
             let span = self.settings.tracer.span("core.parallel_shard");
             span.set_attr("shard", i);
-            span.set_attr("outputs", shard.output_positions.len());
-            span.set_attr("inputs", shard.input_positions.len());
+            span.set_attr("outputs", shards[i].output_positions.len());
+            span.set_attr("inputs", shards[i].input_positions.len());
             self.settings.tracer.adopt(&child.finish());
         }
         drop(phase_span);
 
         // Unwrap shard results; the first non-budget error (by shard
         // index) fails the whole run, exactly as in the sequential ladder.
-        let mut shard_reports: Vec<LadderReport> = Vec::with_capacity(reports.len());
-        for r in reports {
-            shard_reports.push(r.expect("every shard was scheduled")?);
+        for (result, &i) in results.into_iter().zip(&fresh) {
+            let report = result.expect("every shard was scheduled")?;
+            run.fresh_steps += report.stages.iter().map(stage_steps).sum::<u64>();
+            if let Some(store) = store {
+                if !report.stages.iter().any(StageResult::is_budget_exceeded) {
+                    store.put(keys[i], &report);
+                }
+            }
+            reports[i] = Some(report);
         }
-        merge_shard_reports(spec, partial, shards, &shard_reports, phase_a, stages)
+        let reports: Vec<LadderReport> =
+            reports.into_iter().map(|r| r.expect("every shard ran or was stored")).collect();
+        let stages = &mut run.report.stages;
+        merge_shard_reports(spec, partial, shards, &reports, &run.reused, phase_a, stages)
     }
 }
 
 /// Merges per-shard mini-ladder reports into one stage list per method.
-/// Returns `Ok(true)` when an error stops the ladder. Shared with the
-/// service's incremental re-checker, which feeds it a mix of cached and
-/// freshly computed shard reports — the merge is deterministic in shard
-/// order, so cached and fresh entries are indistinguishable.
+/// Returns `Ok(true)` when an error stops the ladder. Stored reports
+/// (`reused`) add their verdicts, witnesses and abort reasons but no cost:
+/// a merged rung's statistics are those of the work this run did.
 ///
 /// # Errors
 ///
 /// [`CheckError::CounterexampleRejected`] if a shard witness, lifted to the
 /// parent input space, fails concrete replay against the *full* circuits —
 /// the end-to-end guarantee that sharding and lifting preserved it.
-pub(crate) fn merge_shard_reports(
+fn merge_shard_reports(
     spec: &Circuit,
     partial: &PartialCircuit,
     shards: &[Shard],
     reports: &[LadderReport],
+    reused: &[bool],
     phase_a: &[Method],
     stages: &mut Vec<StageResult>,
 ) -> Result<bool, CheckError> {
@@ -246,7 +315,9 @@ pub(crate) fn merge_shard_reports(
         // an error at an earlier rung — in which case the merge stopped
         // there and this loop iteration is never reached.
         let entries: Vec<&StageResult> = reports.iter().filter_map(|r| r.stages.get(mi)).collect();
-        let stats = merged_stats(&entries);
+        let fresh: Vec<&StageResult> =
+            entries.iter().zip(reused).filter(|(_, &r)| !r).map(|(&e, _)| e).collect();
+        let stats = merged_stats(&fresh);
 
         let error = entries.iter().enumerate().find_map(|(si, e)| match e {
             StageResult::Finished(o) if o.is_error() => Some((si, o)),
@@ -282,7 +353,7 @@ pub(crate) fn merge_shard_reports(
             _ => None,
         });
         if let Some((si, reason)) = abort {
-            let elapsed = entries.iter().map(|e| e.elapsed()).max().unwrap_or_default();
+            let elapsed = fresh.iter().map(|e| e.elapsed()).max().unwrap_or_default();
             stages.push(StageResult::BudgetExceeded {
                 method,
                 reason: format!("shard {si}: {reason}"),
@@ -326,6 +397,14 @@ fn merged_stats(entries: &[&StageResult]) -> ResourceStats {
         merged.patterns += s.patterns;
     }
     merged
+}
+
+/// Apply steps a rung charged, whether it finished or was cut short.
+fn stage_steps(stage: &StageResult) -> u64 {
+    match stage {
+        StageResult::Finished(o) => o.stats.apply_steps,
+        StageResult::BudgetExceeded { stats, .. } => stats.map_or(0, |st| st.apply_steps),
+    }
 }
 
 /// Lifts a shard counterexample to the parent input space: shard inputs
@@ -462,7 +541,9 @@ mod tests {
     use crate::samples;
     use bbec_netlist::{generators, Mutation, Tv};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    use std::collections::HashMap;
 
     fn settings() -> CheckSettings {
         CheckSettings {
@@ -606,5 +687,126 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(shape_of(1), shape_of(4), "span tree must not depend on the schedule");
+    }
+
+    /// A cone store over a plain map.
+    #[derive(Default)]
+    struct MapStore(RefCell<HashMap<(u64, u64), LadderReport>>);
+
+    impl ConeStore for MapStore {
+        fn get(&self, key: (u64, u64)) -> Option<LadderReport> {
+            self.0.borrow().get(&key).cloned()
+        }
+
+        fn put(&self, key: (u64, u64), report: &LadderReport) {
+            self.0.borrow_mut().insert(key, report.clone());
+        }
+    }
+
+    /// Everything of a report except timing and statistics.
+    fn skeleton(r: &LadderReport) -> Vec<String> {
+        r.stages
+            .iter()
+            .map(|s| match s {
+                StageResult::Finished(o) => {
+                    format!("{}:{:?}:{:?}", o.method, o.verdict, o.counterexample)
+                }
+                StageResult::BudgetExceeded { method, reason, .. } => {
+                    format!("{method}:budget:{reason}")
+                }
+            })
+            .collect()
+    }
+
+    /// An edit of two cones of `spec` (outputs `v1`, `v2`, never cone 0,
+    /// whose gate 0 is boxed): a planted mutation in each, or one more
+    /// boxed gate in each.
+    fn edit_two_cones(spec: &Circuit, mutate: bool, rng: &mut StdRng) -> Option<PartialCircuit> {
+        let n = spec.outputs().len();
+        let v1 = rng.random_range(1..n);
+        let v2 = 1 + (v1 % (n - 1));
+        let cone = |c: &Circuit, v: usize| -> Vec<u32> {
+            c.fanin_cone_gates(&[c.outputs()[v].1]).into_iter().filter(|&g| g != 0).collect()
+        };
+        if mutate {
+            let host = Mutation::random(spec, &cone(spec, v1), rng)?.apply(spec).ok()?;
+            let host = Mutation::random(&host, &cone(&host, v2), rng)?.apply(&host).ok()?;
+            PartialCircuit::black_box_gates(&host, &[0]).ok()
+        } else {
+            let sets = [vec![0], vec![cone(spec, v1)[0]], vec![cone(spec, v2)[0]]];
+            PartialCircuit::black_box_partition(spec, &sets).ok()
+        }
+    }
+
+    /// With a store filled from a base instance, `run_with` at four jobs on
+    /// an edited instance answers like `run` at one job and runs exactly
+    /// the cones the store lacked.
+    #[test]
+    fn stored_cones_replay_under_worker_threads() {
+        let (mut checked, mut reused_total) = (0, 0);
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let spec = generators::disjoint_cones(5, 3, 8, rng.next_u64());
+            let base = PartialCircuit::black_box_gates(&spec, &[0]).unwrap();
+            let Some(edited) = edit_two_cones(&spec, seed % 2 == 0, &mut rng) else { continue };
+
+            let store = MapStore::default();
+            ParallelChecker::new(settings(), 1).run_with(&spec, &base, Some(&store)).unwrap();
+            let key = |sh: &Shard| {
+                let h = crate::ledger::instance_hash(&sh.spec, &sh.partial);
+                (h, crate::ledger::instance_hash_alt(&sh.spec, &sh.partial))
+            };
+            let expected: Vec<bool> = plan_shards(&spec, &edited)
+                .unwrap()
+                .iter()
+                .map(|sh| store.0.borrow().contains_key(&key(sh)))
+                .collect();
+
+            let tracer = bbec_trace::Tracer::new();
+            let traced = CheckSettings { tracer: tracer.clone(), ..settings() };
+            let run = ParallelChecker::new(traced, 4).run_with(&spec, &edited, Some(&store));
+            let run = run.unwrap();
+            let reference = ParallelChecker::new(settings(), 1).run(&spec, &edited).unwrap();
+            assert_eq!(run.report.verdict(), reference.verdict(), "seed {seed}");
+            assert_eq!(run.report.deciding_method(), reference.deciding_method(), "seed {seed}");
+            assert_eq!(run.report.counterexample(), reference.counterexample(), "seed {seed}");
+            assert_eq!(skeleton(&run.report), skeleton(&reference), "seed {seed}");
+
+            // Only the cones the store lacked ran, each under its own span.
+            assert_eq!(run.reused, expected, "seed {seed}");
+            let ran: Vec<usize> = tracer
+                .finish()
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    bbec_trace::TraceEvent::Span { name: "core.parallel_shard", attrs, .. } => {
+                        attrs.iter().find_map(|(k, v)| match v {
+                            bbec_trace::AttrValue::U64(i) if k == "shard" => Some(*i as usize),
+                            _ => None,
+                        })
+                    }
+                    _ => None,
+                })
+                .collect();
+            let missing: Vec<usize> = (0..expected.len()).filter(|&i| !expected[i]).collect();
+            assert_eq!(ran, missing, "seed {seed}");
+            assert!(missing.len() >= 2, "seed {seed}: two dirty cones share four workers");
+            reused_total += expected.len() - missing.len();
+            checked += 1;
+        }
+        assert!(checked >= 8, "only {checked} edits generated");
+        assert!(reused_total > 0, "some cone must replay from the store");
+    }
+
+    /// A run whose rungs exceed their budget stores nothing.
+    #[test]
+    fn budget_exceeded_cones_are_not_stored() {
+        let spec = generators::disjoint_cones(4, 3, 8, 9);
+        let partial = PartialCircuit::black_box_gates(&spec, &[0]).unwrap();
+        let tight = CheckSettings { step_limit: Some(1), ..settings() };
+        let store = MapStore::default();
+        let run = ParallelChecker::new(tight, 4).run_with(&spec, &partial, Some(&store)).unwrap();
+        assert!(!run.report.budget_exceeded().is_empty(), "one step cannot finish a BDD rung");
+        assert!(store.0.borrow().is_empty(), "a budget-exceeded cone report was stored");
     }
 }

@@ -233,7 +233,7 @@ pub enum CheckError {
     Netlist(bbec_netlist::NetlistError),
     /// A partial-circuit structural invariant is violated.
     InvalidPartial(String),
-    /// A resource budget was exceeded; the session/manager stays usable.
+    /// A resource budget was exceeded; the manager stays usable.
     BudgetExceeded(BudgetAbort),
     /// A check produced a counterexample that failed concrete replay
     /// validation ([`crate::cex::validate_counterexample`]) — an internal

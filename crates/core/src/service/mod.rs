@@ -10,14 +10,13 @@
 //!    [`crate::ledger::settings_hash`], so re-submitting an unchanged
 //!    instance (even renamed: the hash is structural) answers from memory
 //!    with **zero** BDD work.
-//! 2. **Dirty-cone incremental re-checking** — on a miss, the service
-//!    reuses the [`crate::plan_shards`] cone-of-influence decomposition:
-//!    each output cone is hashed individually, cones whose subcircuits are
-//!    unchanged replay their cached per-cone ladder reports, and only the
-//!    *dirty* cones re-run the per-output rungs. Cached and fresh cone
-//!    reports are merged by the same deterministic
-//!    [`crate::parallel`] merge as the parallel engine, so verdicts and
-//!    counterexamples are bit-identical to a cold run.
+//! 2. **Dirty-cone incremental re-checking** — on a miss, the service runs
+//!    [`ParallelChecker`] (at one job) over its cone cache: each
+//!    cone-of-influence shard is hashed individually, cones whose
+//!    subcircuits are unchanged replay their cached per-cone ladder
+//!    reports, and only the *dirty* cones re-run the per-output rungs. The
+//!    engine merges cached and fresh cone reports deterministically, so
+//!    verdicts and counterexamples are bit-identical to a cold run.
 //! 3. **Warm manager pool** — every check draws its BDD manager from a
 //!    [`bbec_bdd::ManagerPool`], which resets (rather than reallocates)
 //!    managers between requests.
@@ -29,19 +28,20 @@
 //! (see [`cache`]).
 //!
 //! Observability: each request runs under a `service.request` span (with
-//! `cached`/`cones`/`cones_reused` attributes) and each planned cone gets
-//! a `service.cone` span with a `reused` flag — the incremental property
-//! tests assert *which* cones re-ran straight from the trace. With
-//! `--ledger`, every request appends a standard run record with tool
-//! `"serve"`.
+//! `cached`/`cones`/`cones_reused` attributes) holding the engine's
+//! `core.parallel_phase`/`core.parallel_shard` spans, and after the run
+//! each planned cone gets an empty `service.cone` span with a `reused`
+//! flag — the incremental property tests assert *which* cones re-ran
+//! straight from the trace. With `--ledger`, every request appends a
+//! standard run record with tool `"serve"`.
 
 pub mod cache;
 pub mod protocol;
 pub mod queue;
 
-use crate::checks::{CheckLadder, LadderReport, StageResult};
+use crate::checks::LadderReport;
 use crate::ledger::{self, RungRecord};
-use crate::parallel::{self, ParallelChecker};
+use crate::parallel::{ConeStore, ParallelChecker};
 use crate::partial::{BlackBox, PartialCircuit};
 use crate::report::{CheckError, CheckSettings, Method, Verdict};
 use bbec_netlist::{blif, Circuit, SignalId};
@@ -52,6 +52,11 @@ use std::io::{BufRead, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Bounded job-queue capacity; intake blocks when it is full.
+const QUEUE_CAPACITY: usize = 256;
+/// Warm BDD managers kept for reuse.
+const POOL_CAPACITY: usize = 4;
+
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -60,35 +65,21 @@ pub struct ServiceConfig {
     pub settings: CheckSettings,
     /// Ladder stages, in execution order (default: the paper's five rungs).
     pub stages: Vec<Method>,
-    /// CEGAR refinement budget for SAT output-exact stages.
-    pub sat_refinement_budget: usize,
     /// Worker threads draining the job queue. `1` (the default) executes
     /// requests sequentially in intake order — fully deterministic output
     /// order, which the golden tests and CI rely on.
     pub max_jobs: usize,
     /// Full-result cache entries (per-cone entries get an 8x budget).
     pub cache_entries: usize,
-    /// Bounded job-queue capacity; intake blocks when it is full.
-    pub queue_capacity: usize,
-    /// Warm BDD managers kept for reuse.
-    pub pool_capacity: usize,
     /// Append one run record per check request to this ledger file.
     pub ledger: Option<std::path::PathBuf>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let CheckLadder { stages, sat_refinement_budget, .. } = CheckLadder::default();
-        ServiceConfig {
-            settings: CheckSettings::default(),
-            stages,
-            sat_refinement_budget,
-            max_jobs: 1,
-            cache_entries: 1024,
-            queue_capacity: 256,
-            pool_capacity: 4,
-            ledger: None,
-        }
+        let ParallelChecker { settings, stages, .. } =
+            ParallelChecker::new(CheckSettings::default(), 1);
+        ServiceConfig { settings, stages, max_jobs: 1, cache_entries: 1024, ledger: None }
     }
 }
 
@@ -129,10 +120,10 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds a service, installing a warm manager pool of
-    /// [`ServiceConfig::pool_capacity`] into the base settings.
+    /// Builds a service, installing a warm manager pool into the base
+    /// settings.
     pub fn new(mut config: ServiceConfig) -> Service {
-        let pool = bbec_bdd::ManagerPool::new(config.pool_capacity);
+        let pool = bbec_bdd::ManagerPool::new(POOL_CAPACITY);
         config.settings.pool = Some(pool.clone());
         Service {
             pool,
@@ -163,8 +154,8 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// As [`CheckLadder::run`] ([`CheckError`]); budget-exceeded rungs are
-    /// reported in the response, not raised.
+    /// As [`ParallelChecker::run`] ([`CheckError`]); budget-exceeded rungs
+    /// are reported in the response, not raised.
     pub fn check_instance(
         &self,
         id: &str,
@@ -229,7 +220,7 @@ impl Service {
         reader: R,
         writer: &mut W,
     ) -> std::io::Result<ServeStats> {
-        let queue = JobQueue::new(self.config.queue_capacity);
+        let queue = JobQueue::new(QUEUE_CAPACITY);
         let out = Mutex::new(&mut *writer);
         let responses = std::sync::atomic::AtomicU64::new(0);
         let write_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
@@ -426,108 +417,22 @@ impl Service {
         }
         span.set_attr("cached", false);
 
-        // The cold/incremental path mirrors ParallelChecker::run exactly
-        // (validate → sweep → sharded phase A → joint phase B), so served
-        // verdicts are bit-identical to the parallel engine's.
-        let pre;
-        let (cspec, cpartial) = if s.sweep {
-            pre = crate::preprocess::preprocess(spec, partial, s)?;
-            (&pre.spec, &pre.partial)
-        } else {
-            (spec, partial)
-        };
-        let phase_a: Vec<Method> = self
-            .config
-            .stages
-            .iter()
-            .copied()
-            .filter(|&m| ParallelChecker::is_per_output(m))
-            .collect();
-        let phase_b: Vec<Method> = self
-            .config
-            .stages
-            .iter()
-            .copied()
-            .filter(|&m| !ParallelChecker::is_per_output(m))
-            .collect();
-        let shash_a = ledger::settings_hash(s, &phase_a);
-
-        let mut stages: Vec<StageResult> = Vec::new();
-        let mut error_found = false;
-        let mut fresh_steps: u64 = 0;
-        let mut cones = 0;
-        let mut cones_reused = 0;
-        if !phase_a.is_empty() {
-            let shards = parallel::plan_shards(cspec, cpartial)?;
-            cones = shards.len();
-            if !shards.is_empty() {
-                // Per-cone keys: the shard subcircuits hashed with the same
-                // structural hash family as full instances.
-                let keys: Vec<(u64, u64)> = shards
-                    .iter()
-                    .map(|sh| {
-                        let h = ledger::instance_hash(&sh.spec, &sh.partial);
-                        let a = ledger::instance_hash_alt(&sh.spec, &sh.partial);
-                        (combine(h, shash_a), combine(a, shash_a))
-                    })
-                    .collect();
-                let mut reports: Vec<Option<LadderReport>> = vec![None; shards.len()];
-                if use_cache {
-                    let mut cache = self.cache.lock().expect("cache lock poisoned");
-                    for (i, &(key, alt)) in keys.iter().enumerate() {
-                        reports[i] = cache.get_cone(key, alt);
-                    }
-                }
-                for (i, shard) in shards.iter().enumerate() {
-                    let reused = reports[i].is_some();
-                    let cone_span = s.tracer.span("service.cone");
-                    cone_span.set_attr("cone", i);
-                    cone_span.set_attr("outputs", shard.output_positions.len());
-                    cone_span.set_attr("reused", reused);
-                    if reused {
-                        cones_reused += 1;
-                        continue;
-                    }
-                    let ladder = CheckLadder {
-                        settings: s.clone(),
-                        stages: phase_a.clone(),
-                        sat_refinement_budget: self.config.sat_refinement_budget,
-                    };
-                    let report = ladder.run(&shard.spec, &shard.partial)?;
-                    fresh_steps += report.stages.iter().map(stage_steps).sum::<u64>();
-                    if use_cache && !report.stages.iter().any(StageResult::is_budget_exceeded) {
-                        self.cache.lock().expect("cache lock poisoned").put_cone(
-                            keys[i].0,
-                            keys[i].1,
-                            report.clone(),
-                        );
-                    }
-                    reports[i] = Some(report);
-                }
-                let reports: Vec<LadderReport> =
-                    reports.into_iter().map(|r| r.expect("every shard planned")).collect();
-                error_found = parallel::merge_shard_reports(
-                    cspec,
-                    cpartial,
-                    &shards,
-                    &reports,
-                    &phase_a,
-                    &mut stages,
-                )?;
-            }
+        let checker =
+            ParallelChecker { settings: s.clone(), jobs: 1, stages: self.config.stages.clone() };
+        let cone_cache = ConeCache { cache: &self.cache, settings: shash };
+        let store = use_cache.then_some(&cone_cache as &dyn ConeStore);
+        let run = checker.run_with(spec, partial, store)?;
+        // One empty span per planned cone, after the run, so the trace
+        // says which cones re-ran without counting their work twice.
+        for (i, &reused) in run.reused.iter().enumerate() {
+            let cone_span = s.tracer.span("service.cone");
+            cone_span.set_attr("cone", i);
+            cone_span.set_attr("reused", reused);
         }
-        if !error_found && !phase_b.is_empty() {
-            let ladder = CheckLadder {
-                settings: s.clone(),
-                stages: phase_b,
-                sat_refinement_budget: self.config.sat_refinement_budget,
-            };
-            let report = ladder.run(cspec, cpartial)?;
-            fresh_steps += report.stages.iter().map(stage_steps).sum::<u64>();
-            stages.extend(report.stages);
-        }
+        let cones = run.reused.len();
+        let cones_reused = run.reused.iter().filter(|&&r| r).count();
 
-        let report = LadderReport { stages };
+        let report = run.report;
         let budget_exceeded = !report.budget_exceeded().is_empty();
         let verdict = match report.verdict() {
             Verdict::ErrorFound => "error_found",
@@ -561,7 +466,7 @@ impl Service {
             cones_reused,
             budget_exceeded,
             wall_ms: start.elapsed().as_millis() as u64,
-            apply_steps: fresh_steps,
+            apply_steps: run.fresh_steps,
             rungs,
             counterexample,
         })
@@ -610,10 +515,21 @@ fn combine(instance: u64, settings: u64) -> u64 {
     (instance ^ settings.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-fn stage_steps(stage: &StageResult) -> u64 {
-    match stage {
-        StageResult::Finished(o) => o.stats.apply_steps,
-        StageResult::BudgetExceeded { stats, .. } => stats.map_or(0, |st| st.apply_steps),
+/// The cone level of the service's result cache, for one settings hash.
+struct ConeCache<'a> {
+    cache: &'a Mutex<ResultCache>,
+    settings: u64,
+}
+
+impl ConeStore for ConeCache<'_> {
+    fn get(&self, (h, a): (u64, u64)) -> Option<LadderReport> {
+        let (key, alt) = (combine(h, self.settings), combine(a, self.settings));
+        self.cache.lock().expect("cache lock poisoned").get_cone(key, alt)
+    }
+
+    fn put(&self, (h, a): (u64, u64), report: &LadderReport) {
+        let (key, alt) = (combine(h, self.settings), combine(a, self.settings));
+        self.cache.lock().expect("cache lock poisoned").put_cone(key, alt, report.clone());
     }
 }
 
@@ -693,6 +609,41 @@ mod tests {
             assert_eq!(served.verdict, want);
             assert_eq!(served.counterexample.as_ref(), reference.counterexample());
             assert_eq!(served.method.as_deref(), reference.deciding_method().map(Method::label));
+        }
+    }
+
+    /// A stored cone adds its verdicts to the merge but no cost, so the
+    /// rung records of every computed response sum to its fresh steps.
+    #[test]
+    fn rung_steps_sum_to_fresh_steps() {
+        let svc = quick_service();
+        // f = ab + e with ab boxed, g = cd + e: two cones sharing only e.
+        let host = |g: &str| {
+            format!(
+                ".model imp\n.inputs a b c d e\n.outputs f g\n.names ab e f\n1- 1\n-1 1\n\
+                 .names c d cd\n11 1\n{g}.end\n"
+            )
+        };
+        let or_g = ".names cd e g\n1- 1\n-1 1\n";
+        let spec = blif::parse(&host(&format!(".names a b ab\n11 1\n{or_g}"))).unwrap();
+        let partial =
+            |g: &str| carve(blif::parse_allow_undriven(&host(g)).unwrap(), BoxCarve::One).unwrap();
+        let requests = [
+            ("base", partial(or_g)),
+            // g through two inverters: a benign edit, so oe and ie run.
+            ("benign", partial(".names cd e g0\n1- 1\n-1 1\n.names g0 n\n0 1\n.names n g\n0 1\n")),
+            // g = cd & e: a bug in g's cone only.
+            ("bug", partial(".names cd e g\n11 1\n")),
+        ];
+        for (id, partial) in &requests {
+            let resp = svc.check_instance(id, &spec, partial, true).unwrap();
+            assert!(!resp.cached, "{id}");
+            assert_eq!(resp.verdict == "error_found", *id == "bug", "{id}");
+            if *id != "base" {
+                assert_eq!((resp.cones, resp.cones_reused), (2, 1), "{id}: f's cone is stored");
+            }
+            let rung_steps: u64 = resp.rungs.iter().map(|r| r.apply_steps).sum();
+            assert_eq!(rung_steps, resp.apply_steps, "{id}: rungs must sum to the fresh work");
         }
     }
 
